@@ -8,157 +8,23 @@ several classical families, and checks everything against a brute-force
 oracle over explicitly constructed fields.
 """
 
-from .counting import (
-    MaximalCountTable,
-    gaussian_binomial,
-    maximal_counts,
-    maximal_counts_inclusion_exclusion,
-    subspace_total,
-)
-from .closed_form import (
-    FAMILIES,
-    FAMILY_BCH2_PRIMEPOWER,
-    FAMILY_BCH2_TWOPRIMES,
-    FAMILY_BCH3_PARY,
-    FAMILY_SIMPLEX,
-    ClosedFormTable,
-    DiscrepancyReport,
-    DiscrepancyRow,
-    bch2_binary_primepower,
-    bch2_binary_twoprimes,
-    bch3_pary_twoprimes,
-    cross_check,
-    family_table,
-    simplex_counts,
-)
-from .enumeration import (
-    DEFAULT_OPTIONS,
-    EnumerationOptions,
-    IndexTable,
-    grand_total,
-    multiplicity_table,
-)
-from .gf import (
-    DEFAULT_BUILD_CAP,
-    CapExceededError,
-    ExtField,
-    build_field,
-    is_irreducible,
-)
-from .index_calc import (
-    ContributionMatrix,
-    IndexSet,
-    contribution_matrix,
-    index_contribution,
-    index_set,
-    index_set_combinations,
-    subfield_index,
-)
-from .numth import (
-    CodeSpec,
-    DuplicateCosetError,
-    InvalidParameterError,
-    ShortCosetError,
-    cyclotomic_coset,
-    divisors_of,
-    factorize,
-    is_prime,
-    moebius,
-    prime_power_base,
-    validate_spec,
-)
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    DistinctnessReport,
-    NondegeneracyReport,
-    ShiftLemmaReport,
-    Subspace,
-    TraceCode,
-    build_subcode,
-    classify_all_subspaces,
-    code_word,
-    effective_cap,
-    enumerate_subspaces,
-    maximal_field_of,
-    measured_histogram,
-    oracle_field,
-    qc_index,
-    subspace_spanned,
-    trace_annihilators,
-    verify_distinctness,
-    verify_shift_lemma,
-    verify_trace_nondegeneracy,
-)
+from .closed_form import cross_check, family_table
+from .enumeration import multiplicity_table
+from .gf import CapExceededError
+from .index_calc import index_set
+from .numth import InvalidParameterError, validate_spec
+from .oracle import measured_histogram
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CodeSpec",
-    "InvalidParameterError",
-    "ShortCosetError",
-    "DuplicateCosetError",
     "validate_spec",
-    "cyclotomic_coset",
-    "is_prime",
-    "factorize",
-    "divisors_of",
-    "moebius",
-    "prime_power_base",
-    "gaussian_binomial",
-    "subspace_total",
-    "maximal_counts",
-    "maximal_counts_inclusion_exclusion",
-    "MaximalCountTable",
-    "subfield_index",
-    "index_contribution",
-    "contribution_matrix",
-    "ContributionMatrix",
-    "index_set",
-    "index_set_combinations",
-    "IndexSet",
-    "EnumerationOptions",
-    "DEFAULT_OPTIONS",
-    "IndexTable",
     "multiplicity_table",
-    "grand_total",
-    "FAMILIES",
-    "FAMILY_SIMPLEX",
-    "FAMILY_BCH2_PRIMEPOWER",
-    "FAMILY_BCH2_TWOPRIMES",
-    "FAMILY_BCH3_PARY",
-    "ClosedFormTable",
-    "simplex_counts",
-    "bch2_binary_primepower",
-    "bch2_binary_twoprimes",
-    "bch3_pary_twoprimes",
+    "index_set",
     "family_table",
     "cross_check",
-    "DiscrepancyReport",
-    "DiscrepancyRow",
-    "ExtField",
-    "build_field",
-    "is_irreducible",
-    "CapExceededError",
-    "DEFAULT_BUILD_CAP",
-    "Subspace",
-    "subspace_spanned",
-    "enumerate_subspaces",
-    "maximal_field_of",
-    "classify_all_subspaces",
-    "TraceCode",
-    "build_subcode",
-    "code_word",
-    "qc_index",
-    "oracle_field",
     "measured_histogram",
-    "verify_distinctness",
-    "verify_trace_nondegeneracy",
-    "trace_annihilators",
-    "verify_shift_lemma",
-    "effective_cap",
-    "DistinctnessReport",
-    "NondegeneracyReport",
-    "ShiftLemmaReport",
-    "DEFAULT_ORACLE_CAP",
+    "InvalidParameterError",
+    "CapExceededError",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from .counting import maximal_counts, subspace_total
 from .enumeration import EnumerationOptions, IndexTable, multiplicity_table
 from .gf import CapExceededError
 from .index_calc import contribution_matrix, index_set
-from .numth import CodeSpec, InvalidParameterError, validate_spec
+from .numth import InvalidParameterError, factorize, prime_power_base, validate_spec
 from .oracle import (
     effective_cap,
     measured_histogram,
@@ -35,23 +35,9 @@ _FACTOR_TRIAL_LIMIT = 10**6
 def factored_form(x: int) -> str | None:
     """Factored rendering like 2^3*5*17, or None when trial division
     up to 10^6 cannot certify the complete factorization."""
-    if x < 2:
+    pairs = factorize(x, limit=_FACTOR_TRIAL_LIMIT) if x >= 2 else None
+    if pairs is None:
         return None
-    pairs = []
-    m = x
-    d = 2
-    while d <= _FACTOR_TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if m >= _FACTOR_TRIAL_LIMIT**2:
-            return None  # cofactor not certified prime by the trial bound
-        pairs.append((m, 1))
     return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in pairs)
 
 
@@ -200,6 +186,8 @@ def cmd_closed_form(args) -> int:
 def cmd_verify(args) -> int:
     spec = validate_spec(args.q, args.n, args.zeros)
     field = oracle_field(spec, args.cap)
+    # first, so that an unusable sample count is rejected before the long runs
+    shift = verify_shift_lemma(spec, samples=args.samples, cap=args.cap, field=field)
     measured = measured_histogram(spec, cap=args.cap, field=field)
     symbolic = multiplicity_table(spec)
     histogram_ok = (
@@ -208,7 +196,6 @@ def cmd_verify(args) -> int:
     )
     distinct = verify_distinctness(spec, cap=args.cap, field=field)
     nondegen = verify_trace_nondegeneracy(spec, cap=args.cap, field=field)
-    shift = verify_shift_lemma(spec, samples=args.samples, cap=args.cap, field=field)
     ok = histogram_ok and distinct.ok and nondegen.ok and shift.ok
     if args.format == "json":
         record = {
@@ -254,6 +241,8 @@ def cmd_verify(args) -> int:
 def cmd_subspaces(args) -> int:
     if args.n < 1:
         raise InvalidParameterError(f"n = {args.n} must be at least 1")
+    if prime_power_base(args.q) is None:
+        raise InvalidParameterError(f"q = {args.q} is not a prime power")
     table = maximal_counts(args.n, args.q)
     total = subspace_total(args.n, args.q)
     if args.format == "json":
@@ -347,11 +336,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
+    # counts can outgrow the interpreter's int -> str digit limit; lift it
+    # for this call only, so that in-process callers keep their own setting
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        saved = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except (InvalidParameterError, CapExceededError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if set_digits is not None:
+            set_digits(saved)
 
 
 def entry() -> None:

@@ -8,12 +8,11 @@ maximal-subspace count M(d)); contributions combine under lcm and
 multiplicities multiply.
 """
 
-import math
 from dataclasses import dataclass
 
 from .counting import maximal_counts, subspace_total
-from .index_calc import index_contribution, subfield_index
-from .numth import CodeSpec, divisors_of
+from .index_calc import contribution_matrix, lcm_fold
+from .numth import CodeSpec
 
 
 @dataclass(frozen=True)
@@ -47,27 +46,14 @@ class IndexTable:
 def multiplicity_table(
     spec: CodeSpec, options: EnumerationOptions = DEFAULT_OPTIONS
 ) -> IndexTable:
-    """Fold per-zero (contribution, multiplicity) options across all zeros.
+    """The lcm fold of the contribution matrix weighted by the maximal
+    subspace counts M(d), under the chosen counting conventions.
 
-    The accumulator maps an lcm-so-far to the number of partial tuples
-    reaching it; every key divides N throughout.  The index-1 key always
-    exists (the all-zero tuple lands there), so the trivial-code exclusions
-    only ever touch an existing bucket.
+    The index-1 key always exists (the all-zero tuple lands there), so the
+    trivial-code exclusions only ever touch an existing bucket.
     """
-    counts = maximal_counts(spec.n, spec.q).counts
-    divs = divisors_of(spec.n)
-    acc = {1: 1}
-    for i in spec.zeros:
-        options_i = [(1, 1)] + [
-            (index_contribution(i, subfield_index(spec.q, spec.n, d)), counts[d])
-            for d in divs
-        ]
-        nxt: dict[int, int] = {}
-        for l0, c0 in acc.items():
-            for l1, c1 in options_i:
-                key = math.lcm(l0, l1)
-                nxt[key] = nxt.get(key, 0) + c0 * c1
-        acc = nxt
+    weights = maximal_counts(spec.n, spec.q).counts
+    acc = lcm_fold(contribution_matrix(spec), weights)
     if options.exclude_zero_code:
         acc[1] -= 1
     if options.exclude_full_code:

@@ -36,23 +36,9 @@ def _undigits(ds, p: int) -> int:
 
 
 def _raw_mul(p: int, modulus: tuple[int, ...], a: int, b: int) -> int:
-    """Table-free product: schoolbook polynomial multiplication mod modulus."""
+    """Table-free product of field elements a and b."""
     m = len(modulus) - 1
-    da = _digits(a, p, m)
-    db = _digits(b, p, m)
-    prod = [0] * (2 * m - 1) if m > 1 else [0]
-    for i, ca in enumerate(da):
-        if ca:
-            for j, cb in enumerate(db):
-                if cb:
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    return _undigits(prod[:m], p)
+    return _undigits(_poly_mulmod(p, _digits(a, p, m), _digits(b, p, m), modulus), p)
 
 
 def _raw_pow(p: int, modulus: tuple[int, ...], a: int, e: int) -> int:

@@ -3,12 +3,12 @@
 For a primitive element of F_{q^n}, the least positive power landing in the
 subfield F_{q^d} is (q^n - 1)/(q^d - 1).  A dual zero exponent i reaches that
 subfield after lcm(i, step)/i further steps; folding these contributions under
-lcm across all zeros yields the full achievable index set.
+lcm across all zeros, weighted by subspace counts, yields every index with
+its multiplicity; the achievable index set is the support of that fold.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .numth import CodeSpec, InvalidParameterError, divisors_of
 
@@ -85,40 +85,36 @@ class IndexSet:
         return len(self.values)
 
 
-def index_set(spec: CodeSpec) -> IndexSet:
-    """All indices achievable by some choice of subspaces, with N removed.
+def lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> dict[int, int]:
+    """Weighted count of subspace selections per lcm of their contributions.
 
-    Runs the same per-zero lcm fold as the multiplicity engine, but on bare
-    sets: each zero contributes either 1 (zero subspace) or one of its
-    per-divisor contributions.  Every contribution option has positive
-    multiplicity, so this support equals the support of the full count fold.
+    Each zero independently contributes 1 with weight 1 (the zero subspace)
+    or its column entry for divisor d with weight weights[d]; contributions
+    combine under lcm and weights multiply.  Equal entries within a column
+    are merged before folding.  Every key divides N, and key 1 is always
+    present.
     """
+    acc = {1: 1}
+    for zero in matrix.spec.zeros:
+        options = {1: 1}
+        for d, x in zip(matrix.divisors, matrix.column(zero)):
+            options[x] = options.get(x, 0) + weights[d]
+        # lcm(l0, 1) = l0, so contribution 1 only scales every bucket
+        stay = options.pop(1)
+        nxt = {l0: c0 * stay for l0, c0 in acc.items()}
+        for l0, c0 in acc.items():
+            for l1, c1 in options.items():
+                key = math.lcm(l0, l1)
+                nxt[key] = nxt.get(key, 0) + c0 * c1
+        acc = nxt
+    return acc
+
+
+def index_set(spec: CodeSpec) -> IndexSet:
+    """All indices achievable by some choice of subspaces, with N removed:
+    the support of the lcm fold under unit weights."""
     matrix = contribution_matrix(spec)
-    reachable = {1}
-    for i in spec.zeros:
-        options = {1} | {matrix.rows[d][spec.zeros.index(i)] for d in matrix.divisors}
-        reachable = {math.lcm(a, b) for a in reachable for b in options}
+    reachable = set(lcm_fold(matrix, dict.fromkeys(matrix.divisors, 1)))
     excluded = spec.N in reachable
     reachable.discard(spec.N)
     return IndexSet(values=tuple(sorted(reachable)), excluded_n=excluded)
-
-
-def index_set_combinations(spec: CodeSpec) -> set[int]:
-    """Debug form of index_set: literal lcms over all nonempty selections.
-
-    Picks at most one (divisor, contribution) entry per zero column, at least
-    one column overall, and collects the lcms with N discarded.  Used only to
-    cross-check the fold.
-    """
-    matrix = contribution_matrix(spec)
-    columns = [
-        [matrix.rows[d][j] for d in matrix.divisors] for j in range(spec.s)
-    ]
-    values = set()
-    for picks in product(*[[None] + col for col in columns]):
-        chosen = [x for x in picks if x is not None]
-        if not chosen:
-            continue
-        values.add(math.lcm(*chosen))
-    values.discard(spec.N)
-    return values

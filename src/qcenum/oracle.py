@@ -54,9 +54,11 @@ def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
 # -- linear algebra over F_p on coordinate tuples ---------------------------
 
 
-def _reduce(p: int, pivots: dict[int, tuple[int, ...]], row) -> list[int]:
-    """Reduce a row against RREF pivot rows; the result has no pivot column set."""
-    row = list(row)
+def _reduce(p: int, pivots: dict[int, tuple[int, ...]], row):
+    """Reduce a row against RREF pivot rows; the result has no pivot column set.
+
+    The row comes back unchanged, not copied, when no pivot column is set.
+    """
     for c, prow in pivots.items():
         f = row[c]
         if f:
@@ -68,23 +70,18 @@ def _rref(p: int, rows) -> tuple[tuple[int, ...], ...]:
     """Canonical reduced row-echelon basis of the span of rows, pivots ascending."""
     pivots: dict[int, list[int]] = {}
     for row in rows:
-        row = list(row)
-        for c, prow in pivots.items():
-            f = row[c]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        row = _reduce(p, pivots, row)
         lead = next((idx for idx, v in enumerate(row) if v), None)
         if lead is None:
             continue
         inv = pow(row[lead], -1, p)
         pivots[lead] = [v * inv % p for v in row]
+    # a pivot row is zero left of its lead, so clearing it against the
+    # already cleared rows with larger leads leaves every pivot column a unit
+    cleared: dict[int, list[int]] = {}
     for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2 in pivots:
-            if c2 != c and pivots[c2][c]:
-                f = pivots[c2][c]
-                pivots[c2] = [(a - f * b) % p for a, b in zip(pivots[c2], prow)]
-    return tuple(tuple(pivots[c]) for c in sorted(pivots))
+        cleared[c] = _reduce(p, cleared, pivots[c])
+    return tuple(tuple(cleared[c]) for c in sorted(cleared))
 
 
 def _pivot_map(rref_rows) -> dict[int, tuple[int, ...]]:
@@ -429,7 +426,8 @@ def verify_shift_lemma(
     """Check that the one-step cyclic shift of the word of (b_j) is the word of
     (b_j * alpha^(-i_j)).
 
-    Exhaustive over small coefficient spaces, seeded random sampling above.
+    Exhaustive over small coefficient spaces, seeded random sampling above;
+    a sampled check needs at least one sample, so that it cannot pass vacuously.
     """
     if field is None:
         field = oracle_field(spec, cap)
@@ -438,6 +436,8 @@ def verify_shift_lemma(
         pool = product(range(field.size), repeat=spec.s)
         planned = total
     else:
+        if samples < 1:
+            raise InvalidParameterError(f"samples = {samples} must be at least 1")
         rng = random.Random(seed)
         pool = (
             tuple(rng.randrange(field.size) for _ in range(spec.s))

@@ -1,6 +1,7 @@
 """Shift-index arithmetic: subfield steps, contributions, achievable index sets."""
 
 import math
+from itertools import product
 
 import pytest
 
@@ -8,10 +9,30 @@ from qcenum.index_calc import (
     contribution_matrix,
     index_contribution,
     index_set,
-    index_set_combinations,
     subfield_index,
 )
 from qcenum.numth import InvalidParameterError, divisors_of, validate_spec
+
+
+def index_set_combinations(spec) -> set[int]:
+    """Debug form of index_set: literal lcms over all nonempty selections.
+
+    Picks at most one (divisor, contribution) entry per zero column, at least
+    one column overall, and collects the lcms with N discarded.  Used only to
+    cross-check the fold.
+    """
+    matrix = contribution_matrix(spec)
+    columns = [
+        [matrix.rows[d][j] for d in matrix.divisors] for j in range(spec.s)
+    ]
+    values = set()
+    for picks in product(*[[None] + col for col in columns]):
+        chosen = [x for x in picks if x is not None]
+        if not chosen:
+            continue
+        values.add(math.lcm(*chosen))
+    values.discard(spec.N)
+    return values
 
 
 def test_subfield_index_known_values():

@@ -49,7 +49,9 @@ def test_is_prime_known_large():
     assert is_prime(10**18 + 9)
 
 
-@pytest.mark.parametrize("m", [2, 12, 360, 97, 1024, 6469693230])
+@pytest.mark.parametrize(
+    "m", [2, 12, 360, 97, 1024, 6469693230, 1, 101 * 103, 2 * 10007, 4 * 101**2, 9973 * 10007]
+)
 def test_factorize_reconstructs(m):
     fact = factorize(m)
     prod = 1
@@ -60,6 +62,13 @@ def test_factorize_reconstructs(m):
     assert prod == m
     primes = [p for p, _ in fact]
     assert primes == sorted(primes)
+    # a limited result is the full factorization, or None exactly when a part
+    # of m above the limit remains and is at least limit^2 (trial division up
+    # to limit cannot certify it prime)
+    for limit in (1, 2, 3, 10, 100, 10**4, 10**6):
+        cofactor = math.prod(p**e for p, e in fact if p > limit)
+        expect = None if cofactor > 1 and cofactor >= limit**2 else fact
+        assert factorize(m, limit=limit) == expect, limit
 
 
 def test_factorize_edge_cases():
