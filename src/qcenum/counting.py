@@ -55,9 +55,6 @@ class MaximalCountTable:
     n: int
     counts: dict[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def maximal_counts(n: int, q: int) -> MaximalCountTable:
     """Per-divisor counts of subspaces maximally defined over F_{q^d}.

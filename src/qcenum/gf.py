@@ -4,8 +4,8 @@ Elements are integers in [0, p^m): the base-p digits of x are its coordinates
 in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus).  The modulus
 and the designated primitive element are chosen deterministically (smallest in
 this integer encoding), so the same parameters always rebuild the identical
-field; both can also be overridden explicitly, e.g. to sweep over primitive
-elements.
+field.  ExtField.with_alpha gives the same field with another primitive
+element, e.g. to sweep over primitive elements.
 """
 
 import math
@@ -280,19 +280,12 @@ class ExtField:
         return ExtField(self.p, self.m, self.modulus, alpha)
 
 
-def build_field(
-    p: int,
-    m: int,
-    modulus=None,
-    alpha: int | None = None,
-    cap: int = DEFAULT_BUILD_CAP,
-) -> ExtField:
+def build_field(p: int, m: int, cap: int = DEFAULT_BUILD_CAP) -> ExtField:
     """Construct F_{p^m} with deterministic canonical choices.
 
-    With no overrides the modulus is the lexicographically smallest monic
-    irreducible of degree m (coefficient vectors compared as base-p integers,
-    constant term least significant) and alpha the smallest element of full
-    multiplicative order.
+    The modulus is the lexicographically smallest monic irreducible of degree
+    m (coefficient vectors compared as base-p integers, constant term least
+    significant) and alpha the smallest element of full multiplicative order.
     """
     if not is_prime(p):
         raise InvalidParameterError(f"p = {p} is not prime")
@@ -301,16 +294,5 @@ def build_field(
     size = p**m
     if size > cap:
         raise CapExceededError(f"p^m = {size} exceeds the build cap {cap}")
-    if modulus is None:
-        modulus = _canonical_modulus(p, m)
-    else:
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise InvalidParameterError("modulus must be monic of degree m")
-        if not is_irreducible(p, list(modulus)):
-            raise InvalidParameterError(f"modulus {modulus} is reducible over F_{p}")
-    if alpha is None:
-        alpha = _smallest_full_order(p, modulus)
-    elif not 1 <= alpha < size:
-        raise InvalidParameterError(f"alpha = {alpha} out of range")
-    return ExtField(p, m, modulus, alpha)
+    modulus = _canonical_modulus(p, m)
+    return ExtField(p, m, modulus, _smallest_full_order(p, modulus))

@@ -3,9 +3,12 @@
 Builds literal trace-representation subcodes over an explicit field, measures
 their true shift indices by shifting generators, and tallies.  Everything here
 is exhaustive, so runs are capped: with q^n field elements there are
-subspace_total(n, q) subspaces and (that + 1)^s subcode choices.  The default
-cap keeps runs at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
-environment variable.
+subspace_total(n, q) subspaces and (that + 1)^s subcode choices.  The four
+checks (measured_histogram, verify_distinctness, verify_trace_nondegeneracy,
+verify_shift_lemma) either build F_{q^n} under the cap or take a caller's
+field, which must be F_{q^n} and within the cap; the cap is tested there and
+nowhere else.  The default cap keeps runs at desk scale; raise it per call or
+via the QCENUM_ORACLE_CAP environment variable.
 """
 
 import os
@@ -14,11 +17,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable
-from .gf import CapExceededError, DEFAULT_BUILD_CAP, ExtField, build_field
+from .gf import CapExceededError, ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, divisors_of, is_prime
 
 DEFAULT_ORACLE_CAP = 256
 ENV_CAP = "QCENUM_ORACLE_CAP"
+SEED = 20240915  # seeds every sampled check, so a run is reproducible
+NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
+NONDEGENERACY_SAMPLES = 200
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -48,7 +54,20 @@ def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
             f"the explicit-field oracle supports prime q only, got q = {spec.q}"
         )
     limit = _check_cap(spec.q, spec.n, cap)
-    return build_field(spec.q, spec.n, cap=max(limit, DEFAULT_BUILD_CAP))
+    return build_field(spec.q, spec.n, cap=limit)
+
+
+def _resolve_field(spec: CodeSpec, cap: int | None, field: ExtField | None) -> ExtField:
+    """The field a check runs over: oracle_field(spec, cap), or the caller's
+    field once it is shown to be F_{q^n} and within the cap."""
+    if field is None:
+        return oracle_field(spec, cap)
+    if (field.p, field.m) != (spec.q, spec.n):
+        raise InvalidParameterError(
+            f"field F_{field.p}^{field.m} is not F_{spec.q}^{spec.n} of the spec"
+        )
+    _check_cap(field.p, field.m, cap)
+    return field
 
 
 # -- linear algebra over F_p on coordinate tuples ---------------------------
@@ -130,7 +149,7 @@ def subspace_spanned(field: ExtField, elements) -> Subspace:
     return Subspace(field, tuple(field.from_coeffs(r) for r in rows))
 
 
-def enumerate_subspaces(field: ExtField, cap: int | None = None):
+def enumerate_subspaces(field: ExtField):
     """Yield every nonzero subspace exactly once, by dimension then
     lexicographic RREF matrix.
 
@@ -138,7 +157,6 @@ def enumerate_subspaces(field: ExtField, cap: int | None = None):
     cells to the right of each pivot range over F_p; this produces each RREF
     matrix exactly once.
     """
-    _check_cap(field.p, field.m, cap)
     n, p = field.m, field.p
     for k in range(1, n + 1):
         batch = []
@@ -183,10 +201,10 @@ def maximal_field_of(space: Subspace) -> int:
     raise AssertionError("unreachable: d = 1 always closes")
 
 
-def classify_all_subspaces(field: ExtField, cap: int | None = None) -> dict[int, int]:
+def classify_all_subspaces(field: ExtField) -> dict[int, int]:
     """Histogram of maximal_field_of over every nonzero subspace."""
     out: dict[int, int] = {}
-    for space in enumerate_subspaces(field, cap):
+    for space in enumerate_subspaces(field):
         d = maximal_field_of(space)
         out[d] = out.get(d, 0) + 1
     return {d: out[d] for d in sorted(out)}
@@ -200,7 +218,6 @@ class TraceCode:
     """A subcode in canonical form: RREF generator rows over F_q, length N."""
 
     spec: CodeSpec
-    spaces: tuple[Subspace, ...]
     generator: tuple[tuple[int, ...], ...]
 
     @property
@@ -227,7 +244,7 @@ def _trace_word(field: ExtField, exponent: int, coeff: int, N: int) -> tuple[int
 
 def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
     """The single codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j]))."""
-    N = field.order if field.order > 0 else 1
+    N = field.order
     p = field.p
     total = [0] * N
     for i, b in zip(zeros, coeffs):
@@ -236,16 +253,13 @@ def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
     return tuple(total)
 
 
-def build_subcode(
-    field: ExtField, spec: CodeSpec, spaces, cap: int | None = None
-) -> TraceCode:
+def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> TraceCode:
     """Span of the trace words of all basis elements across all zeros."""
-    _check_cap(spec.q, spec.n, cap)
     rows = []
     for i, space in zip(spec.zeros, spaces):
         for b in space.basis:
             rows.append(_trace_word(field, i, b, spec.N))
-    return TraceCode(spec=spec, spaces=tuple(spaces), generator=_rref(spec.q, rows))
+    return TraceCode(spec=spec, generator=_rref(spec.q, rows))
 
 
 def qc_index(code: TraceCode) -> int:
@@ -265,6 +279,13 @@ def qc_index(code: TraceCode) -> int:
     raise AssertionError("unreachable: the N-shift is the identity")
 
 
+def _subcodes(field: ExtField, spec: CodeSpec):
+    """Every tuple of subspaces, the zero space included, with its subcode."""
+    choices = [Subspace(field, ())] + list(enumerate_subspaces(field))
+    for spaces in product(choices, repeat=spec.s):
+        yield spaces, build_subcode(field, spec, spaces)
+
+
 def measured_histogram(
     spec: CodeSpec,
     options: EnumerationOptions = DEFAULT_OPTIONS,
@@ -277,22 +298,20 @@ def measured_histogram(
     of the zero code and of the code itself, and separate reporting of
     full-length (index N) measurements.
     """
-    if field is None:
-        field = oracle_field(spec, cap)
-    else:
-        _check_cap(spec.q, spec.n, cap)
-    choices = [Subspace(field, ())] + list(enumerate_subspaces(field, cap))
+    field = _resolve_field(spec, cap, field)
     entries = {1: 0}
     index_n = 0
-    for tup in product(choices, repeat=spec.s):
-        dims = [space.dim for space in tup]
+    for spaces, code in _subcodes(field, spec):
+        # the skips read the tuple, not code.dim: taking the code's dimension
+        # would assume the distinctness and nondegeneracy this oracle checks
+        dims = [space.dim for space in spaces]
         if all(d == 0 for d in dims):
             if not options.exclude_zero_code:
                 entries[1] += 1  # the zero code is fixed by every shift
             continue
         if options.exclude_full_code and all(d == field.m for d in dims):
             continue
-        ell = qc_index(build_subcode(field, spec, tup, cap=cap))
+        ell = qc_index(code)
         if ell == spec.N and options.report_index_n:
             index_n += 1
         else:
@@ -321,16 +340,14 @@ def verify_distinctness(
     spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> DistinctnessReport:
     """Check that distinct subspace tuples give distinct subcodes (as row spaces)."""
-    if field is None:
-        field = oracle_field(spec, cap)
-    choices = [Subspace(field, ())] + list(enumerate_subspaces(field, cap))
+    field = _resolve_field(spec, cap, field)
     seen: dict[tuple, tuple] = {}
     collisions = []
     total = 0
-    for tup in product(choices, repeat=spec.s):
+    for spaces, code in _subcodes(field, spec):
         total += 1
-        gen = build_subcode(field, spec, tup, cap=cap).generator
-        key = tuple(space.basis for space in tup)
+        gen = code.generator
+        key = tuple(space.basis for space in spaces)
         if gen in seen:
             collisions.append((seen[gen], key))
         else:
@@ -377,33 +394,30 @@ def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:
 
 
 def verify_trace_nondegeneracy(
-    spec: CodeSpec,
-    cap: int | None = None,
-    field: ExtField | None = None,
-    sample_limit: int = 1 << 14,
-    samples: int = 200,
-    seed: int = 20240915,
+    spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> NondegeneracyReport:
     """Confirm that only the zero coefficient tuple gives the zero codeword.
 
-    Exhaustive when the tuple space is small; above sample_limit it spot-checks
-    random nonzero tuples, which must all fail to annihilate.
+    Exhaustive up to NONDEGENERACY_SAMPLE_LIMIT tuples; above that it
+    spot-checks NONDEGENERACY_SAMPLES random nonzero tuples, which must all
+    fail to annihilate.
     """
-    if field is None:
-        field = oracle_field(spec, cap)
+    field = _resolve_field(spec, cap, field)
     total = field.size**spec.s
-    if total <= sample_limit:
+    if total <= NONDEGENERACY_SAMPLE_LIMIT:
         count = len(trace_annihilators(field, spec.zeros))
         return NondegeneracyReport(checked=total, annihilators=count, exhaustive=True)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     bad = 0
-    for _ in range(samples):
+    for _ in range(NONDEGENERACY_SAMPLES):
         coeffs = [0] * spec.s
         while not any(coeffs):
             coeffs = [rng.randrange(field.size) for _ in range(spec.s)]
         if _annihilates(field, spec.zeros, coeffs):
             bad += 1
-    return NondegeneracyReport(checked=samples, annihilators=bad, exhaustive=False)
+    return NondegeneracyReport(
+        checked=NONDEGENERACY_SAMPLES, annihilators=bad, exhaustive=False
+    )
 
 
 @dataclass(frozen=True)
@@ -421,7 +435,6 @@ def verify_shift_lemma(
     samples: int = 100,
     cap: int | None = None,
     field: ExtField | None = None,
-    seed: int = 20240915,
 ) -> ShiftLemmaReport:
     """Check that the one-step cyclic shift of the word of (b_j) is the word of
     (b_j * alpha^(-i_j)).
@@ -429,8 +442,7 @@ def verify_shift_lemma(
     Exhaustive over small coefficient spaces, seeded random sampling above;
     a sampled check needs at least one sample, so that it cannot pass vacuously.
     """
-    if field is None:
-        field = oracle_field(spec, cap)
+    field = _resolve_field(spec, cap, field)
     total = field.size**spec.s
     if total <= 4096:
         pool = product(range(field.size), repeat=spec.s)
@@ -438,7 +450,7 @@ def verify_shift_lemma(
     else:
         if samples < 1:
             raise InvalidParameterError(f"samples = {samples} must be at least 1")
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         pool = (
             tuple(rng.randrange(field.size) for _ in range(spec.s))
             for _ in range(samples)

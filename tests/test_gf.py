@@ -243,27 +243,6 @@ def test_with_alpha_override():
         field.with_alpha(16)
 
 
-def test_modulus_override():
-    field = build_field(2, 4, modulus=(1, 1, 0, 0, 1))
-    assert field.modulus == (1, 1, 0, 0, 1)
-    with pytest.raises(InvalidParameterError):
-        build_field(2, 4, modulus=(1, 0, 0, 0, 1))  # (x+1)^4
-    with pytest.raises(InvalidParameterError):
-        build_field(3, 2, modulus=(1, 2, 1))  # (x+1)^2
-    with pytest.raises(InvalidParameterError):
-        build_field(2, 4, modulus=(1, 1, 1))  # degree mismatch
-
-
-def test_alpha_override():
-    field = build_field(2, 4, alpha=3)
-    assert field.alpha == 3
-    assert field.is_primitive(3)
-    with pytest.raises(InvalidParameterError):
-        build_field(2, 4, alpha=6)  # order 3
-    with pytest.raises(InvalidParameterError):
-        build_field(2, 4, alpha=0)
-
-
 def test_build_cap():
     with pytest.raises(CapExceededError):
         build_field(2, 5, cap=16)

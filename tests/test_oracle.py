@@ -171,15 +171,17 @@ def test_measured_histogram_matches_symbolic(q, n, zeros):
     assert measured.index_n_count == symbolic.index_n_count
 
 
-def test_measured_histogram_respects_options():
-    spec = validate_spec(3, 2, [1])
+@pytest.mark.parametrize("q, n, zeros", [(3, 2, [1]), (3, 2, [1, 2])])
+def test_measured_histogram_respects_options(q, n, zeros):
+    spec = validate_spec(q, n, zeros)
     opts = EnumerationOptions(
         exclude_zero_code=False, exclude_full_code=False, report_index_n=False
     )
     measured = measured_histogram(spec, opts)
     symbolic = multiplicity_table(spec, opts)
     assert measured.entries == symbolic.entries
-    assert sum(measured.entries.values()) == subspace_total(2, 3) + 1
+    # with every convention flipped, each of the (T+1)^s tuples is an entry
+    assert sum(measured.entries.values()) == (subspace_total(n, q) + 1) ** spec.s
 
 
 def test_distinctness_counts():
@@ -202,10 +204,10 @@ def test_trace_nondegeneracy_exhaustive():
 
 
 def test_trace_nondegeneracy_sampled_path():
-    spec = validate_spec(2, 4, [1, 3])
-    report = verify_trace_nondegeneracy(spec, sample_limit=1, samples=40)
+    spec = validate_spec(2, 6, [1, 3, 5])  # 64^3 coefficient tuples
+    report = verify_trace_nondegeneracy(spec)
     assert not report.exhaustive
-    assert report.checked == 40
+    assert report.checked == 200
     assert report.annihilators == 0
     assert report.ok
 
@@ -260,6 +262,30 @@ def test_cap_enforcement():
     # raising the cap explicitly permits the field build
     field = oracle_field(spec, cap=1024)
     assert field.size == 1024
+
+
+FIELD_CHECKS = [
+    measured_histogram,
+    verify_distinctness,
+    verify_trace_nondegeneracy,
+    verify_shift_lemma,
+]
+
+
+@pytest.mark.parametrize("check", FIELD_CHECKS)
+def test_checks_reject_a_field_of_another_spec(check):
+    spec = validate_spec(2, 4, [1])
+    for p, m in [(2, 3), (3, 2)]:
+        with pytest.raises(InvalidParameterError):
+            check(spec, field=build_field(p, m))
+
+
+@pytest.mark.parametrize("check", FIELD_CHECKS)
+def test_checks_reject_a_given_field_over_the_cap(check, monkeypatch):
+    monkeypatch.delenv(ENV_CAP, raising=False)
+    spec = validate_spec(2, 10, [1])
+    with pytest.raises(CapExceededError):
+        check(spec, field=build_field(2, 10))
 
 
 def test_effective_cap_precedence(monkeypatch):
