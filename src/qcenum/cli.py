@@ -9,13 +9,14 @@ validation, 3 verification failure or closed-form discrepancy.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .closed_form import FAMILIES, cross_check, family_table
 from .counting import maximal_counts, subspace_total
 from .enumeration import EnumerationOptions, IndexTable, multiplicity_table
 from .gf import CapExceededError
 from .index_calc import contribution_matrix, index_set
-from .numth import InvalidParameterError, factorize, prime_power_base, validate_spec
+from .numth import CodeSpec, InvalidParameterError, factorize, prime_power_base, validate_spec
 from .oracle import (
     effective_cap,
     measured_histogram,
@@ -48,21 +49,14 @@ def _zeros_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"zeros must be comma-separated integers: {text!r}")
 
 
-def _options_from_args(args) -> EnumerationOptions:
-    return EnumerationOptions(
-        exclude_zero_code=not args.include_zero,
-        exclude_full_code=not args.include_full,
-        report_index_n=not args.no_index_n,
-    )
+def _spec_record(spec: CodeSpec) -> dict:
+    """q, n, N and zeros: the header of every JSON record that has a spec."""
+    return {"q": spec.q, "n": spec.n, "N": spec.N, "zeros": list(spec.zeros)}
 
 
 def _table_record(table: IndexTable, engine: str) -> dict:
-    spec = table.spec
     return {
-        "q": spec.q,
-        "n": spec.n,
-        "N": spec.N,
-        "zeros": list(spec.zeros),
+        **_spec_record(table.spec),
         "table": [
             {"index": k, "count": str(v)} for k, v in table.entries.items()
         ],
@@ -110,10 +104,7 @@ def cmd_indices(args) -> int:
     matrix = contribution_matrix(spec)
     if args.format == "json":
         record = {
-            "q": spec.q,
-            "n": spec.n,
-            "N": spec.N,
-            "zeros": list(spec.zeros),
+            **_spec_record(spec),
             "index_set": list(iset.values),
             "excluded_N": iset.excluded_n,
             "contributions": [
@@ -138,7 +129,12 @@ def cmd_indices(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = validate_spec(args.q, args.n, args.zeros)
-    table = multiplicity_table(spec, _options_from_args(args))
+    options = EnumerationOptions(
+        exclude_zero_code=not args.include_zero,
+        exclude_full_code=not args.include_full,
+        report_index_n=not args.no_index_n,
+    )
+    table = multiplicity_table(spec, options)
     _emit_table(table, "generic", args.format, factored=args.factored)
     return EXIT_OK
 
@@ -149,12 +145,6 @@ def cmd_closed_form(args) -> int:
     )
     report = cross_check(table)
     normalized = table.normalized()
-    as_index_table = IndexTable(
-        spec=table.spec,
-        entries=normalized,
-        index_n_count=report.generic.index_n_count,
-        options=report.generic.options,
-    )
     if args.format == "human":
         params = " ".join(f"{k}={v}" for k, v in table.params.items())
         zeros = ",".join(str(z) for z in table.spec.zeros)
@@ -169,7 +159,7 @@ def cmd_closed_form(args) -> int:
             + ", ".join(f"[{k},{v}]" for k, v in report.generic.entries.items())
         )
     else:
-        _emit_table(as_index_table, "closed-form", args.format)
+        _emit_table(replace(report.generic, entries=normalized), "closed-form", args.format)
     if not report.ok:
         for row in report.mismatches:
             print(
@@ -199,10 +189,7 @@ def cmd_verify(args) -> int:
     ok = histogram_ok and distinct.ok and nondegen.ok and shift.ok
     if args.format == "json":
         record = {
-            "q": spec.q,
-            "n": spec.n,
-            "N": spec.N,
-            "zeros": list(spec.zeros),
+            **_spec_record(spec),
             "cap": effective_cap(args.cap),
             "measured": _table_record(measured, "oracle"),
             "symbolic": _table_record(symbolic, "generic"),

@@ -1,11 +1,12 @@
-"""Explicit finite fields F_{p^m} with exp/log tables.
+"""Explicit finite fields F_{p^m} with exp, log and trace tables.
 
 Elements are integers in [0, p^m): the base-p digits of x are its coordinates
 in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus).  The modulus
 and the designated primitive element are chosen deterministically (smallest in
 this integer encoding), so the same parameters always rebuild the identical
 field.  ExtField.with_alpha gives the same field with another primitive
-element, e.g. to sweep over primitive elements.
+element, e.g. to sweep over primitive elements; the table build rejects an
+element that is not primitive.  The inverse of a nonzero a is pow(a, -1).
 """
 
 import math
@@ -151,7 +152,8 @@ def _smallest_full_order(p: int, modulus: tuple[int, ...]) -> int:
 
 
 class ExtField:
-    """F_{p^m} as integers [0, p^m) with multiplication via log/antilog tables."""
+    """F_{p^m} as integers [0, p^m): multiplication via log/antilog tables,
+    the absolute trace via a table of Tr(x) for every element x."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], alpha: int):
         self.p = p
@@ -173,7 +175,13 @@ class ExtField:
             raise InvalidParameterError(f"alpha = {alpha} is not primitive")
         self.exp = exp
         self.log = log
-        self._trace_table: list[int] | None = None
+        traces = [0] * self.size
+        for k in range(self.order):
+            t = 0
+            for j in range(m):
+                t = self.add(t, exp[k * p**j % self.order])
+            traces[exp[k]] = t
+        self.traces = traces
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, m={self.m}, modulus={self.modulus}, alpha={self.alpha})"
@@ -188,40 +196,13 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += (a + b) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a) % p * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        p, m = self.p, self.m
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.order]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InvalidParameterError("zero is not invertible")
-        return self.exp[(-self.log[a]) % self.order]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -229,16 +210,6 @@ class ExtField:
                 raise InvalidParameterError("zero is not invertible")
             return 0 if e > 0 else 1
         return self.exp[(self.log[a] * e) % self.order]
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise InvalidParameterError("zero has no multiplicative order")
-        if self.order == 0:
-            return 1
-        return self.order // math.gcd(self.log[a], self.order)
-
-    def is_primitive(self, a: int) -> bool:
-        return a != 0 and self.element_order(a) == max(self.order, 1)
 
     def primitive_elements(self) -> list[int]:
         """All generators of the multiplicative group, ascending."""
@@ -250,17 +221,7 @@ class ExtField:
 
     def trace(self, a: int) -> int:
         """Trace down to the prime field: sum of the p-power conjugates of a."""
-        if self._trace_table is None:
-            table = []
-            for x in range(self.size):
-                t = x
-                acc = x
-                for _ in range(self.m - 1):
-                    t = self.pow(t, self.p)
-                    acc = self.add(acc, t)
-                table.append(acc)
-            self._trace_table = table
-        return self._trace_table[a]
+        return self.traces[a]
 
     def subfield_generator(self, d: int) -> int:
         """alpha^((p^m-1)/(p^d-1)): a primitive element of the subfield F_{p^d}."""

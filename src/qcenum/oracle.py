@@ -1,14 +1,17 @@
 """Brute-force ground truth for the symbolic engines.
 
 Builds literal trace-representation subcodes over an explicit field, measures
-their true shift indices by shifting generators, and tallies.  Everything here
-is exhaustive, so runs are capped: with q^n field elements there are
-subspace_total(n, q) subspaces and (that + 1)^s subcode choices.  The four
-checks (measured_histogram, verify_distinctness, verify_trace_nondegeneracy,
-verify_shift_lemma) either build F_{q^n} under the cap or take a caller's
-field, which must be F_{q^n} and within the cap; the cap is tested there and
-nowhere else.  The default cap keeps runs at desk scale; raise it per call or
-via the QCENUM_ORACLE_CAP environment variable.
+their true shift indices by shifting generators, and tallies.  The trace form
+is evaluated in one place, _trace_word: subcode rows, the shift check and the
+nondegeneracy check (a coefficient tuple annihilates when its code_word is
+zero) all read words built by it.  Everything here is exhaustive, so runs are
+capped: with q^n field elements there are subspace_total(n, q) subspaces and
+(that + 1)^s subcode choices.  The four checks (measured_histogram,
+verify_distinctness, verify_trace_nondegeneracy, verify_shift_lemma) either
+build F_{q^n} under the cap or take a caller's field, which must be F_{q^n}
+and within the cap; the cap is tested there and nowhere else.  The default cap
+keeps runs at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
+environment variable.
 """
 
 import os
@@ -229,13 +232,12 @@ def _trace_word(field: ExtField, exponent: int, coeff: int, N: int) -> tuple[int
     """The length-N word k -> trace(coeff * alpha^(k * exponent))."""
     if coeff == 0:
         return (0,) * N
-    exp_table, log_table = field.exp, field.log
-    trace = field.trace
+    exp_table, log_table, trace_table = field.exp, field.log, field.traces
     e = log_table[coeff]
     step = exponent % field.order
     out = []
     for _ in range(N):
-        out.append(trace(exp_table[e]))
+        out.append(trace_table[exp_table[e]])
         e += step
         if e >= field.order:
             e -= field.order
@@ -369,27 +371,18 @@ class NondegeneracyReport:
         return self.annihilators == 1 if self.exhaustive else self.annihilators == 0
 
 
-def _eval_form(field: ExtField, exponents, coeffs, x: int) -> int:
-    total = 0
-    for i, b in zip(exponents, coeffs):
-        total = field.add(total, field.mul(b, field.pow(x, i)))
-    return total
-
-
-def _annihilates(field: ExtField, exponents, coeffs) -> bool:
-    return all(
-        field.trace(_eval_form(field, exponents, coeffs, x)) == 0
-        for x in range(field.size)
-    )
-
-
 def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:
-    """Exhaustive list of coefficient tuples whose trace form vanishes everywhere."""
+    """Exhaustive list of coefficient tuples whose codeword is zero.
+
+    For positive exponents, as every dual zero is, x = 0 adds trace(0) = 0
+    and x = alpha^k is codeword position k, so these are exactly the tuples
+    whose trace form vanishes on the whole field.
+    """
     exponents = list(exponents)
     return [
         coeffs
         for coeffs in product(range(field.size), repeat=len(exponents))
-        if _annihilates(field, exponents, coeffs)
+        if not any(code_word(field, exponents, coeffs))
     ]
 
 
@@ -413,7 +406,7 @@ def verify_trace_nondegeneracy(
         coeffs = [0] * spec.s
         while not any(coeffs):
             coeffs = [rng.randrange(field.size) for _ in range(spec.s)]
-        if _annihilates(field, spec.zeros, coeffs):
+        if not any(code_word(field, spec.zeros, coeffs)):
             bad += 1
     return NondegeneracyReport(
         checked=NONDEGENERACY_SAMPLES, annihilators=bad, exhaustive=False
@@ -439,17 +432,18 @@ def verify_shift_lemma(
     """Check that the one-step cyclic shift of the word of (b_j) is the word of
     (b_j * alpha^(-i_j)).
 
-    Exhaustive over small coefficient spaces, seeded random sampling above;
-    a sampled check needs at least one sample, so that it cannot pass vacuously.
+    Exhaustive over small coefficient spaces, seeded random sampling above.
+    samples must be at least 1 on either path, so that a sampled check cannot
+    pass vacuously and a bad count is never silently ignored.
     """
     field = _resolve_field(spec, cap, field)
+    if samples < 1:
+        raise InvalidParameterError(f"samples = {samples} must be at least 1")
     total = field.size**spec.s
     if total <= 4096:
         pool = product(range(field.size), repeat=spec.s)
         planned = total
     else:
-        if samples < 1:
-            raise InvalidParameterError(f"samples = {samples} must be at least 1")
         rng = random.Random(SEED)
         pool = (
             tuple(rng.randrange(field.size) for _ in range(spec.s))

@@ -21,6 +21,9 @@ CASES = [
     ("subspaces --q 6 --n 4", None, 2),
     # a sampled shift check with no samples would pass vacuously
     ("verify --q 5 --n 3 --zeros 1,2 --samples 0", None, 2),
+    # ... and an exhaustive one must still reject a count below 1
+    ("verify --q 2 --n 4 --zeros 1 --samples -3", None, 2),
+    ("verify --q 2 --n 4 --zeros 1 --samples 0", None, 2),
     ("enumerate --q 1 --n 4 --zeros 1", None, 2),
     ("subspaces --q 1 --n 4", None, 2),
     ("enumerate --q 2 --n 0 --zeros 1", None, 2),

@@ -34,7 +34,13 @@ def test_golden_ternary_length_80():
     assert table.index_n_count == 0
 
 
-CANDIDATE_ZEROS = {2: [[1], [1, 3], [1, 3, 5]], 3: [[1], [1, 2], [1, 2, 4]]}
+CANDIDATE_ZEROS = {
+    2: [[1], [1, 3], [1, 3, 5]],
+    3: [[1], [1, 2], [1, 2, 4]],
+    4: [[1], [1, 2], [1, 2, 3]],
+    8: [[1], [1, 2], [1, 2, 3]],
+    9: [[1], [1, 2], [1, 2, 4]],
+}
 
 
 def sweep_specs(max_n=12):
