@@ -9,7 +9,7 @@ validation, 3 verification failure or closed-form discrepancy.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .closed_form import FAMILIES, cross_check, family_table
 from .counting import maximal_counts, subspace_total
@@ -61,13 +61,13 @@ def _table_record(table: IndexTable, engine: str) -> dict:
             {"index": k, "count": str(v)} for k, v in table.entries.items()
         ],
         "index_N_count": str(table.index_n_count),
-        "options": {
-            "exclude_zero_code": table.options.exclude_zero_code,
-            "exclude_full_code": table.options.exclude_full_code,
-            "report_index_n": table.options.report_index_n,
-        },
+        "options": asdict(table.options),
         "engine": engine,
     }
+
+
+def _pairs(entries: dict[int, int]) -> str:
+    return ", ".join(f"[{k},{v}]" for k, v in entries.items())
 
 
 def _bracket_row(index: int, count: int, factored: bool) -> str:
@@ -94,8 +94,6 @@ def _emit_table(table: IndexTable, engine: str, fmt: str, factored: bool = False
         zeros = ",".join(str(z) for z in spec.zeros)
         print(f"q={spec.q} n={spec.n} N={spec.N} zeros={zeros} engine={engine}")
         print(", ".join(_bracket_row(k, v, factored) for k, v in table.entries.items()))
-        if table.options.report_index_n:
-            print(f"full-length selections (lcm = N): {table.index_n_count}")
 
 
 def cmd_indices(args) -> int:
@@ -136,6 +134,8 @@ def cmd_enumerate(args) -> int:
     )
     table = multiplicity_table(spec, options)
     _emit_table(table, "generic", args.format, factored=args.factored)
+    if args.format == "human" and not args.no_index_n:
+        print(f"full-length selections (lcm = N): {table.index_n_count}")
     return EXIT_OK
 
 
@@ -152,12 +152,9 @@ def cmd_closed_form(args) -> int:
             f"family={table.family} {params}  "
             f"(q={table.spec.q} n={table.spec.n} N={table.spec.N} zeros={zeros})"
         )
-        print("formula counts: " + ", ".join(f"[{k},{v}]" for k, v in table.literal.items()))
-        print("normalized:     " + ", ".join(f"[{k},{v}]" for k, v in normalized.items()))
-        print(
-            "generic engine: "
-            + ", ".join(f"[{k},{v}]" for k, v in report.generic.entries.items())
-        )
+        print("formula counts: " + _pairs(table.literal))
+        print("normalized:     " + _pairs(normalized))
+        print("generic engine: " + _pairs(report.generic.entries))
     else:
         _emit_table(replace(report.generic, entries=normalized), "closed-form", args.format)
     if not report.ok:
@@ -204,9 +201,9 @@ def cmd_verify(args) -> int:
     else:
         zeros = ",".join(str(z) for z in spec.zeros)
         print(f"verify q={spec.q} n={spec.n} zeros={zeros} (cap {effective_cap(args.cap)})")
-        took = ", ".join(f"[{k},{v}]" for k, v in measured.entries.items())
+        took = _pairs(measured.entries)
         print(f"measured histogram: {took}; full-length: {measured.index_n_count}")
-        took = ", ".join(f"[{k},{v}]" for k, v in symbolic.entries.items())
+        took = _pairs(symbolic.entries)
         print(f"symbolic table:     {took}; full-length: {symbolic.index_n_count}")
         print(f"histogram match: {'PASS' if histogram_ok else 'FAIL'}")
         print(

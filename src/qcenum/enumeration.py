@@ -5,7 +5,9 @@ to counting tuples.  Each dual zero independently picks either the zero space
 (index contribution 1) or a subspace maximally defined over some intermediate
 field F_{q^d} (contribution step_d/gcd(i, step_d), with multiplicity the
 maximal-subspace count M(d)); contributions combine under lcm and
-multiplicities multiply.
+multiplicities multiply.  tabulate turns a count of every tuple per index into
+a table under the counting conventions, for this fold and for the oracle's
+measured tally alike.
 """
 
 from dataclasses import dataclass
@@ -43,17 +45,17 @@ class IndexTable:
     options: EnumerationOptions
 
 
-def multiplicity_table(
-    spec: CodeSpec, options: EnumerationOptions = DEFAULT_OPTIONS
+def tabulate(
+    spec: CodeSpec, tally: dict[int, int], options: EnumerationOptions = DEFAULT_OPTIONS
 ) -> IndexTable:
-    """The lcm fold of the contribution matrix weighted by the maximal
-    subspace counts M(d), under the chosen counting conventions.
+    """Apply the counting conventions to a count of every subspace tuple per
+    index, leaving tally unmutated.
 
-    The index-1 key always exists (the all-zero tuple lands there), so the
-    trivial-code exclusions only ever touch an existing bucket.
+    tally holds the zero tuple and the full tuple at key 1 and the
+    full-length selections at key N, so the trivial-code exclusions only ever
+    touch an existing bucket.
     """
-    weights = maximal_counts(spec.n, spec.q).counts
-    acc = lcm_fold(contribution_matrix(spec), weights)
+    acc = dict(tally)
     if options.exclude_zero_code:
         acc[1] -= 1
     if options.exclude_full_code:
@@ -63,6 +65,15 @@ def multiplicity_table(
     return IndexTable(
         spec=spec, entries=entries, index_n_count=index_n, options=options
     )
+
+
+def multiplicity_table(
+    spec: CodeSpec, options: EnumerationOptions = DEFAULT_OPTIONS
+) -> IndexTable:
+    """The lcm fold of the contribution matrix weighted by the maximal
+    subspace counts M(d), tabulated under the chosen counting conventions."""
+    weights = maximal_counts(spec.n, spec.q).counts
+    return tabulate(spec, lcm_fold(contribution_matrix(spec), weights), options)
 
 
 def grand_total(spec: CodeSpec) -> int:

@@ -101,16 +101,12 @@ def factorize(n: int, limit: int | None = None) -> Factorization | None:
     return tuple(pairs)
 
 
-def divisors(fact: Factorization) -> list[int]:
-    """All divisors of the factored integer, ascending."""
+def divisors_of(n: int) -> list[int]:
+    """All divisors of n >= 1, ascending."""
     out = [1]
-    for p, a in fact:
+    for p, a in factorize(n):
         out = [d * p**e for d in out for e in range(a + 1)]
     return sorted(out)
-
-
-def divisors_of(n: int) -> list[int]:
-    return divisors(factorize(n))
 
 
 def moebius(m: int) -> int:

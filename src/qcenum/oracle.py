@@ -1,10 +1,13 @@
 """Brute-force ground truth for the symbolic engines.
 
 Builds literal trace-representation subcodes over an explicit field, measures
-their true shift indices by shifting generators, and tallies.  The trace form
-is evaluated in one place, _trace_word: subcode rows, the shift check and the
-nondegeneracy check (a coefficient tuple annihilates when its code_word is
-zero) all read words built by it.  Everything here is exhaustive, so runs are
+their true shift indices by shifting generators, and tallies every subspace
+tuple per index; enumeration.tabulate applies the counting conventions to that
+tally, as it does to the symbolic fold.  The trace form is evaluated in one
+place, _trace_word: subcode rows, the shift check and the nondegeneracy check
+(a coefficient tuple annihilates when its code_word is zero) all read words
+built by it, and the two sampled checks draw their coefficient tuples from one
+pool, _coefficient_tuples.  Everything here is exhaustive, so runs are
 capped: with q^n field elements there are subspace_total(n, q) subspaces and
 (that + 1)^s subcode choices.  The four checks (measured_histogram,
 verify_distinctness, verify_trace_nondegeneracy, verify_shift_lemma) either
@@ -19,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable
+from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable, tabulate
 from .gf import CapExceededError, ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, divisors_of, is_prime
 
@@ -28,6 +31,7 @@ ENV_CAP = "QCENUM_ORACLE_CAP"
 SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
+SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -294,34 +298,21 @@ def measured_histogram(
     cap: int | None = None,
     field: ExtField | None = None,
 ) -> IndexTable:
-    """Measure qc_index over every subspace tuple and tally per index.
+    """Measure qc_index over every subspace tuple, tally per index, and
+    tabulate the tally under the symbolic engine's counting conventions.
 
-    Applies the same conventions as the symbolic engine: optional exclusion
-    of the zero code and of the code itself, and separate reporting of
-    full-length (index N) measurements.
+    The full tuple is measured like any other; the zero tuple, whose code has
+    no shift index, is tallied at 1.
     """
     field = _resolve_field(spec, cap, field)
-    entries = {1: 0}
-    index_n = 0
+    tally: dict[int, int] = {}
     for spaces, code in _subcodes(field, spec):
-        # the skips read the tuple, not code.dim: taking the code's dimension
-        # would assume the distinctness and nondegeneracy this oracle checks
-        dims = [space.dim for space in spaces]
-        if all(d == 0 for d in dims):
-            if not options.exclude_zero_code:
-                entries[1] += 1  # the zero code is fixed by every shift
-            continue
-        if options.exclude_full_code and all(d == field.m for d in dims):
-            continue
-        ell = qc_index(code)
-        if ell == spec.N and options.report_index_n:
-            index_n += 1
-        else:
-            entries[ell] = entries.get(ell, 0) + 1
-    entries = {k: entries[k] for k in sorted(entries)}
-    return IndexTable(
-        spec=spec, entries=entries, index_n_count=index_n, options=options
-    )
+        # the zero tuple is read from the dims, not code.dim: taking the code's
+        # dimension would assume the distinctness and nondegeneracy this
+        # oracle checks; the zero code is fixed by every shift
+        ell = qc_index(code) if any(space.dim for space in spaces) else 1
+        tally[ell] = tally.get(ell, 0) + 1
+    return tabulate(spec, tally, options)
 
 
 # -- verification reports ------------------------------------------------------
@@ -386,6 +377,20 @@ def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:
     ]
 
 
+def _coefficient_tuples(field: ExtField, s: int, limit: int, samples: int):
+    """Every coefficient tuple of length s when there are at most limit of
+    them, else samples seeded random nonzero tuples."""
+    if field.size**s <= limit:
+        yield from product(range(field.size), repeat=s)
+        return
+    rng = random.Random(SEED)
+    for _ in range(samples):
+        coeffs = (0,) * s
+        while not any(coeffs):
+            coeffs = tuple(rng.randrange(field.size) for _ in range(s))
+        yield coeffs
+
+
 def verify_trace_nondegeneracy(
     spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> NondegeneracyReport:
@@ -396,20 +401,14 @@ def verify_trace_nondegeneracy(
     fail to annihilate.
     """
     field = _resolve_field(spec, cap, field)
-    total = field.size**spec.s
-    if total <= NONDEGENERACY_SAMPLE_LIMIT:
-        count = len(trace_annihilators(field, spec.zeros))
-        return NondegeneracyReport(checked=total, annihilators=count, exhaustive=True)
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(NONDEGENERACY_SAMPLES):
-        coeffs = [0] * spec.s
-        while not any(coeffs):
-            coeffs = [rng.randrange(field.size) for _ in range(spec.s)]
-        if not any(code_word(field, spec.zeros, coeffs)):
-            bad += 1
+    pool = list(
+        _coefficient_tuples(field, spec.s, NONDEGENERACY_SAMPLE_LIMIT, NONDEGENERACY_SAMPLES)
+    )
+    annihilators = sum(not any(code_word(field, spec.zeros, c)) for c in pool)
     return NondegeneracyReport(
-        checked=NONDEGENERACY_SAMPLES, annihilators=bad, exhaustive=False
+        checked=len(pool),
+        annihilators=annihilators,
+        exhaustive=field.size**spec.s <= NONDEGENERACY_SAMPLE_LIMIT,
     )
 
 
@@ -432,28 +431,20 @@ def verify_shift_lemma(
     """Check that the one-step cyclic shift of the word of (b_j) is the word of
     (b_j * alpha^(-i_j)).
 
-    Exhaustive over small coefficient spaces, seeded random sampling above.
-    samples must be at least 1 on either path, so that a sampled check cannot
-    pass vacuously and a bad count is never silently ignored.
+    Exhaustive up to SHIFT_SAMPLE_LIMIT tuples; above that it checks samples
+    seeded random nonzero tuples.  samples must be at least 1 on either path,
+    so that a sampled check cannot pass vacuously and a bad count is never
+    silently ignored.
     """
     field = _resolve_field(spec, cap, field)
     if samples < 1:
         raise InvalidParameterError(f"samples = {samples} must be at least 1")
     total = field.size**spec.s
-    if total <= 4096:
-        pool = product(range(field.size), repeat=spec.s)
-        planned = total
-    else:
-        rng = random.Random(SEED)
-        pool = (
-            tuple(rng.randrange(field.size) for _ in range(spec.s))
-            for _ in range(samples)
-        )
-        planned = samples
+    planned = total if total <= SHIFT_SAMPLE_LIMIT else samples
     scale = [field.pow(field.alpha, -i) for i in spec.zeros]
     checked = 0
     mismatches = 0
-    for coeffs in pool:
+    for coeffs in _coefficient_tuples(field, spec.s, SHIFT_SAMPLE_LIMIT, samples):
         word = code_word(field, spec.zeros, coeffs)
         shifted = word[-1:] + word[:-1]
         scaled = tuple(field.mul(b, s) for b, s in zip(coeffs, scale))

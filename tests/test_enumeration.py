@@ -8,6 +8,7 @@ from qcenum.enumeration import (
     EnumerationOptions,
     grand_total,
     multiplicity_table,
+    tabulate,
 )
 from qcenum.index_calc import index_set
 from qcenum.numth import InvalidParameterError, validate_spec
@@ -116,6 +117,19 @@ def test_include_flags_adjust_index_one():
     no_full = EnumerationOptions(exclude_full_code=False)
     assert multiplicity_table(spec, no_zero).entries[1] == base + 1
     assert multiplicity_table(spec, no_full).entries[1] == base + 1
+
+
+def test_tabulate_sorts_and_leaves_the_tally_unmutated():
+    spec = validate_spec(2, 4, [1])
+    tally = {15: 60, 5: 5, 1: 2}
+    table = tabulate(spec, tally)
+    assert tally == {15: 60, 5: 5, 1: 2}
+    assert list(table.entries.items()) == [(1, 0), (5, 5)]
+    assert table.index_n_count == 60
+    every = EnumerationOptions(False, False, False)
+    assert list(tabulate(spec, tally, every).entries.items()) == [
+        (1, 2), (5, 5), (15, 60)
+    ]
 
 
 def test_zero_scaling_invariance():

@@ -1,6 +1,7 @@
 """Explicit-field brute force against the symbolic engines."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -171,17 +172,27 @@ def test_measured_histogram_matches_symbolic(q, n, zeros):
     assert measured.index_n_count == symbolic.index_n_count
 
 
-@pytest.mark.parametrize("q, n, zeros", [(3, 2, [1]), (3, 2, [1, 2])])
-def test_measured_histogram_respects_options(q, n, zeros):
+ALL_OPTIONS = [
+    EnumerationOptions(exclude_zero_code=z, exclude_full_code=f, report_index_n=r)
+    for z, f, r in product((True, False), repeat=3)
+]
+
+
+@pytest.mark.parametrize("opts", ALL_OPTIONS)
+@pytest.mark.parametrize(
+    "q, n, zeros",
+    # at q = 2 the full-length bucket is nonzero, so report_index_n matters
+    [(3, 2, [1]), (3, 2, [1, 2]), (2, 4, [1]), (2, 3, [1, 3])],
+)
+def test_measured_histogram_respects_options(q, n, zeros, opts):
     spec = validate_spec(q, n, zeros)
-    opts = EnumerationOptions(
-        exclude_zero_code=False, exclude_full_code=False, report_index_n=False
-    )
     measured = measured_histogram(spec, opts)
     symbolic = multiplicity_table(spec, opts)
     assert measured.entries == symbolic.entries
-    # with every convention flipped, each of the (T+1)^s tuples is an entry
-    assert sum(measured.entries.values()) == (subspace_total(n, q) + 1) ** spec.s
+    assert measured.index_n_count == symbolic.index_n_count
+    if not (opts.exclude_zero_code or opts.exclude_full_code or opts.report_index_n):
+        # with every convention flipped, each of the (T+1)^s tuples is an entry
+        assert sum(measured.entries.values()) == (subspace_total(n, q) + 1) ** spec.s
 
 
 def test_distinctness_counts():
