@@ -12,7 +12,7 @@ measured tally alike.
 
 from dataclasses import dataclass
 
-from .counting import maximal_counts, subspace_total
+from .counting import maximal_counts
 from .index_calc import contribution_matrix, lcm_fold
 from .numth import CodeSpec
 
@@ -75,8 +75,3 @@ def multiplicity_table(
     weights = maximal_counts(spec.n, spec.q).counts
     return tabulate(spec, lcm_fold(contribution_matrix(spec), weights), options)
 
-
-def grand_total(spec: CodeSpec) -> int:
-    """Total number of subcodes over all subspace tuples, zero space included:
-    (subspace_total(n, q) + 1)^s."""
-    return (subspace_total(spec.n, spec.q) + 1) ** spec.s

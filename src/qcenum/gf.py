@@ -4,14 +4,11 @@ Elements are integers in [0, p^m): the base-p digits of x are its coordinates
 in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus).  The modulus
 and the designated primitive element are chosen deterministically (smallest in
 this integer encoding), so the same parameters always rebuild the identical
-field.  ExtField.with_alpha gives the same field with another primitive
-element, e.g. to sweep over primitive elements; the table build rejects an
-element that is not primitive.  The inverse of a nonzero a is pow(a, -1).
+field.  ExtField(p, m, modulus, alpha) with another alpha gives the same
+field with another primitive element; its table build rejects an element that
+is not primitive.  The inverse of a nonzero a is pow(a, -1).
 """
 
-import math
-
-from .index_calc import subfield_index
 from .numth import InvalidParameterError, factorize, is_prime
 
 DEFAULT_BUILD_CAP = 1 << 20
@@ -186,10 +183,6 @@ class ExtField:
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, m={self.m}, modulus={self.modulus}, alpha={self.alpha})"
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Coordinates of x in the polynomial basis (constant term first)."""
-        return tuple(_digits(x, self.p, self.m))
-
     def from_coeffs(self, ds) -> int:
         return _undigits(list(ds), self.p)
 
@@ -210,35 +203,6 @@ class ExtField:
                 raise InvalidParameterError("zero is not invertible")
             return 0 if e > 0 else 1
         return self.exp[(self.log[a] * e) % self.order]
-
-    def primitive_elements(self) -> list[int]:
-        """All generators of the multiplicative group, ascending."""
-        if self.order <= 1:
-            return [1]
-        return sorted(
-            self.exp[k] for k in range(self.order) if math.gcd(k, self.order) == 1
-        )
-
-    def trace(self, a: int) -> int:
-        """Trace down to the prime field: sum of the p-power conjugates of a."""
-        return self.traces[a]
-
-    def subfield_generator(self, d: int) -> int:
-        """alpha^((p^m-1)/(p^d-1)): a primitive element of the subfield F_{p^d}."""
-        return self.pow(self.alpha, subfield_index(self.p, self.m, d))
-
-    def subfield(self, d: int) -> frozenset[int]:
-        """All elements of the subfield F_{p^d}: the fixed points of x -> x^(p^d)."""
-        if self.m % d != 0:
-            raise InvalidParameterError(f"d = {d} does not divide m = {self.m}")
-        step = self.p**d
-        return frozenset(
-            x for x in range(self.size) if x == 0 or self.pow(x, step) == x
-        )
-
-    def with_alpha(self, alpha: int) -> "ExtField":
-        """The same field with a different designated primitive element."""
-        return ExtField(self.p, self.m, self.modulus, alpha)
 
 
 def build_field(p: int, m: int, cap: int = DEFAULT_BUILD_CAP) -> ExtField:

@@ -1,20 +1,25 @@
 """Brute-force ground truth for the symbolic engines.
 
 Builds literal trace-representation subcodes over an explicit field, measures
-their true shift indices by shifting generators, and tallies every subspace
-tuple per index; enumeration.tabulate applies the counting conventions to that
-tally, as it does to the symbolic fold.  The trace form is evaluated in one
-place, _trace_word: subcode rows, the shift check and the nondegeneracy check
-(a coefficient tuple annihilates when its code_word is zero) all read words
-built by it, and the two sampled checks draw their coefficient tuples from one
-pool, _coefficient_tuples.  Everything here is exhaustive, so runs are
-capped: with q^n field elements there are subspace_total(n, q) subspaces and
-(that + 1)^s subcode choices.  The four checks (measured_histogram,
-verify_distinctness, verify_trace_nondegeneracy, verify_shift_lemma) either
-build F_{q^n} under the cap or take a caller's field, which must be F_{q^n}
-and within the cap; the cap is tested there and nowhere else.  The default cap
-keeps runs at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
-environment variable.
+their true shift indices by shifting generator rows, and tallies every
+subspace tuple per index; enumeration.tabulate applies the counting
+conventions to that tally, as it does to the symbolic fold.  The data are
+plain tuples: a subspace is the tuple of its RREF basis elements, () the zero
+space, and a subcode is the tuple of its RREF generator rows.  The trace form
+is evaluated in one place, _trace_word: subcode rows, the shift check and the
+nondegeneracy check (a coefficient tuple annihilates when its code_word is
+zero) all read words built by it, and the two sampled checks draw their
+coefficient tuples from one pool, _coefficient_tuples.
+
+Everything here is exhaustive, so runs are bounded twice.  The cap bounds the
+field size q^n: the four checks (measured_histogram, verify_distinctness,
+verify_trace_nondegeneracy, verify_shift_lemma) either build F_{q^n} under the
+cap or take a caller's field, which must be F_{q^n} and within the cap; the
+cap is tested there and nowhere else.  The default cap keeps fields at desk
+scale; raise it per call or via the QCENUM_ORACLE_CAP environment variable.
+WALK_LIMIT bounds the work: there are subspace_total(n, q) subspaces and
+(that + 1)^s subspace tuples, and the histogram and distinctness walks refuse
+more than WALK_LIMIT tuples before they enumerate a subspace, whatever the cap.
 """
 
 import os
@@ -22,6 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .counting import subspace_total
 from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable, tabulate
 from .gf import CapExceededError, ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, divisors_of, is_prime
@@ -32,6 +38,7 @@ SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
+WALK_LIMIT = 1 << 20  # most subspace tuples one histogram or distinctness walk visits
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -125,48 +132,19 @@ def _in_span(p: int, pivots: dict[int, tuple[int, ...]], row) -> bool:
 # -- subspaces ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """An F_p-subspace of F_{p^m}, basis elements whose coordinate rows form an
-    RREF matrix (pivots ascending).  An empty basis is the zero space."""
-
-    field: ExtField
-    basis: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def elements(self) -> set[int]:
-        field = self.field
-        out = {0}
-        for b in self.basis:
-            multiples = [0]
-            cur = 0
-            for _ in range(field.p - 1):
-                cur = field.add(cur, b)
-                multiples.append(cur)
-            out = {field.add(x, mult) for x in out for mult in multiples}
-        return out
-
-
-def subspace_spanned(field: ExtField, elements) -> Subspace:
-    """The subspace generated by arbitrary field elements, in canonical form."""
-    rows = _rref(field.p, [field.coeffs(x) for x in elements])
-    return Subspace(field, tuple(field.from_coeffs(r) for r in rows))
-
-
 def enumerate_subspaces(field: ExtField):
-    """Yield every nonzero subspace exactly once, by dimension then
-    lexicographic RREF matrix.
+    """Yield every nonzero F_p-subspace exactly once, each as soon as it is
+    built: by dimension, then ascending pivot-column set, then fill.
+
+    A subspace is the tuple of its basis elements whose coordinate rows form
+    an RREF matrix, pivots ascending.
 
     For each dimension and each ascending pivot-column set, the non-pivot
-    cells to the right of each pivot range over F_p; this produces each RREF
-    matrix exactly once.
+    cells to the right of each pivot range over F_p in product order; this
+    produces each RREF matrix exactly once.
     """
     n, p = field.m, field.p
     for k in range(1, n + 1):
-        batch = []
         for pivots in combinations(range(n), k):
             pivot_set = set(pivots)
             free = [
@@ -181,55 +159,10 @@ def enumerate_subspaces(field: ExtField):
                     rows[r][c] = 1
                 for (r, c), v in zip(free, fill):
                     rows[r][c] = v
-                batch.append(tuple(tuple(r) for r in rows))
-        for mat in sorted(batch):
-            yield Subspace(field, tuple(field.from_coeffs(r) for r in mat))
-
-
-def maximal_field_of(space: Subspace) -> int:
-    """Largest divisor d of m with the subspace closed under F_{p^d}-scaling.
-
-    Closure under multiplication by a generator of F_{p^d}* suffices, since
-    the space is already an F_p-space and F_p adjoined that generator is the
-    whole subfield.
-    """
-    if space.dim == 0:
-        raise InvalidParameterError("the zero space is defined over every subfield")
-    field = space.field
-    rows = [field.coeffs(b) for b in space.basis]
-    pivots = _pivot_map(rows)
-    for d in sorted(divisors_of(field.m), reverse=True):
-        g = field.subfield_generator(d)
-        if all(
-            _in_span(field.p, pivots, field.coeffs(field.mul(g, b)))
-            for b in space.basis
-        ):
-            return d
-    raise AssertionError("unreachable: d = 1 always closes")
-
-
-def classify_all_subspaces(field: ExtField) -> dict[int, int]:
-    """Histogram of maximal_field_of over every nonzero subspace."""
-    out: dict[int, int] = {}
-    for space in enumerate_subspaces(field):
-        d = maximal_field_of(space)
-        out[d] = out.get(d, 0) + 1
-    return {d: out[d] for d in sorted(out)}
+                yield tuple(field.from_coeffs(r) for r in rows)
 
 
 # -- trace-representation codes ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceCode:
-    """A subcode in canonical form: RREF generator rows over F_q, length N."""
-
-    spec: CodeSpec
-    generator: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.generator)
 
 
 def _trace_word(field: ExtField, exponent: int, coeff: int, N: int) -> tuple[int, ...]:
@@ -259,35 +192,46 @@ def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
     return tuple(total)
 
 
-def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> TraceCode:
-    """Span of the trace words of all basis elements across all zeros."""
-    rows = []
-    for i, space in zip(spec.zeros, spaces):
-        for b in space.basis:
-            rows.append(_trace_word(field, i, b, spec.N))
-    return TraceCode(spec=spec, generator=_rref(spec.q, rows))
+def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple[tuple[int, ...], ...]:
+    """RREF rows of the span of the trace words of every basis element of
+    spaces[j] at zero j."""
+    rows = [
+        _trace_word(field, i, b, spec.N)
+        for i, basis in zip(spec.zeros, spaces)
+        for b in basis
+    ]
+    return _rref(spec.q, rows)
 
 
-def qc_index(code: TraceCode) -> int:
-    """Smallest ell such that the ell-fold cyclic shift maps the code into itself.
+def qc_index(spec: CodeSpec, rows) -> int:
+    """Smallest ell such that the ell-fold cyclic shift maps the code with RREF
+    rows into itself.
 
     The invariance shifts form a subgroup of Z/N, so the answer is a divisor
     of N and checking shift-closure of a generating set suffices.
     """
-    gen = code.generator
-    if not gen:
+    if not rows:
         raise InvalidParameterError("the zero code has no shift index")
-    p = code.spec.q
-    pivots = _pivot_map(gen)
-    for ell in divisors_of(code.spec.N):
-        if all(_in_span(p, pivots, row[-ell:] + row[:-ell]) for row in gen):
+    pivots = _pivot_map(rows)
+    for ell in divisors_of(spec.N):
+        if all(_in_span(spec.q, pivots, row[-ell:] + row[:-ell]) for row in rows):
             return ell
     raise AssertionError("unreachable: the N-shift is the identity")
 
 
 def _subcodes(field: ExtField, spec: CodeSpec):
-    """Every tuple of subspaces, the zero space included, with its subcode."""
-    choices = [Subspace(field, ())] + list(enumerate_subspaces(field))
+    """Every tuple of subspaces, the zero space included, with its subcode.
+
+    A walk over more than WALK_LIMIT tuples is refused before any subspace is
+    enumerated.
+    """
+    tuples = (subspace_total(spec.n, spec.q) + 1) ** spec.s
+    if tuples > WALK_LIMIT:
+        raise CapExceededError(
+            f"(subspace_total(n, q) + 1)^s = {tuples} subspace tuples "
+            f"exceed the walk limit {WALK_LIMIT}"
+        )
+    choices = [()] + list(enumerate_subspaces(field))
     for spaces in product(choices, repeat=spec.s):
         yield spaces, build_subcode(field, spec, spaces)
 
@@ -306,11 +250,11 @@ def measured_histogram(
     """
     field = _resolve_field(spec, cap, field)
     tally: dict[int, int] = {}
-    for spaces, code in _subcodes(field, spec):
-        # the zero tuple is read from the dims, not code.dim: taking the code's
-        # dimension would assume the distinctness and nondegeneracy this
-        # oracle checks; the zero code is fixed by every shift
-        ell = qc_index(code) if any(space.dim for space in spaces) else 1
+    for spaces, rows in _subcodes(field, spec):
+        # the zero tuple is read from the spaces, not the rows: taking the
+        # rows would assume the distinctness and nondegeneracy this oracle
+        # checks; the zero code is fixed by every shift
+        ell = 1 if not any(spaces) else qc_index(spec, rows)
         tally[ell] = tally.get(ell, 0) + 1
     return tabulate(spec, tally, options)
 
@@ -337,14 +281,12 @@ def verify_distinctness(
     seen: dict[tuple, tuple] = {}
     collisions = []
     total = 0
-    for spaces, code in _subcodes(field, spec):
+    for spaces, rows in _subcodes(field, spec):
         total += 1
-        gen = code.generator
-        key = tuple(space.basis for space in spaces)
-        if gen in seen:
-            collisions.append((seen[gen], key))
+        if rows in seen:
+            collisions.append((seen[rows], spaces))
         else:
-            seen[gen] = key
+            seen[rows] = spaces
     return DistinctnessReport(
         total_tuples=total, distinct_codes=len(seen), collisions=tuple(collisions)
     )
@@ -360,21 +302,6 @@ class NondegeneracyReport:
     def ok(self) -> bool:
         # only the all-zero coefficient tuple may annihilate every evaluation point
         return self.annihilators == 1 if self.exhaustive else self.annihilators == 0
-
-
-def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:
-    """Exhaustive list of coefficient tuples whose codeword is zero.
-
-    For positive exponents, as every dual zero is, x = 0 adds trace(0) = 0
-    and x = alpha^k is codeword position k, so these are exactly the tuples
-    whose trace form vanishes on the whole field.
-    """
-    exponents = list(exponents)
-    return [
-        coeffs
-        for coeffs in product(range(field.size), repeat=len(exponents))
-        if not any(code_word(field, exponents, coeffs))
-    ]
 
 
 def _coefficient_tuples(field: ExtField, s: int, limit: int, samples: int):

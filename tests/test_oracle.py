@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from qcenum import oracle
 from qcenum.counting import maximal_counts, subspace_total
 from qcenum.enumeration import EnumerationOptions, multiplicity_table
 from qcenum.gf import CapExceededError, build_field
@@ -13,21 +14,28 @@ from qcenum.numth import InvalidParameterError, validate_spec
 from qcenum.oracle import (
     DEFAULT_ORACLE_CAP,
     ENV_CAP,
-    Subspace,
+    WALK_LIMIT,
     build_subcode,
-    classify_all_subspaces,
     code_word,
     effective_cap,
     enumerate_subspaces,
-    maximal_field_of,
     measured_histogram,
     oracle_field,
     qc_index,
-    subspace_spanned,
-    trace_annihilators,
     verify_distinctness,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
+)
+from reference import (
+    classify_all_subspaces,
+    elements,
+    grand_total,
+    maximal_field_of,
+    primitive_elements,
+    subfield,
+    subspace_spanned,
+    trace_annihilators,
+    with_alpha,
 )
 
 
@@ -42,12 +50,13 @@ def test_enumerate_subspaces_unique_and_complete():
         field = build_field(p, m)
         seen = set()
         dims = {}
-        for space in enumerate_subspaces(field):
-            elems = frozenset(space.elements())
+        for basis in enumerate_subspaces(field):
+            assert subspace_spanned(field, basis) == basis  # canonical RREF form
+            elems = frozenset(elements(field, basis))
             assert elems not in seen
             seen.add(elems)
-            assert len(elems) == p**space.dim
-            dims[space.dim] = dims.get(space.dim, 0) + 1
+            assert len(elems) == p ** len(basis)
+            dims[len(basis)] = dims.get(len(basis), 0) + 1
         from qcenum.counting import gaussian_binomial
 
         assert dims == {
@@ -62,20 +71,20 @@ def test_subspace_spanned_canonicalizes():
     s1 = subspace_spanned(field, [a, field.mul(a, a)])
     s2 = subspace_spanned(field, [field.mul(a, a), b, a])
     assert s1 == s2
-    assert s1.dim == 2
-    assert subspace_spanned(field, [0]).dim == 0
+    assert len(s1) == 2
+    assert subspace_spanned(field, [0]) == ()
 
 
 def test_maximal_field_of_known_cases():
     field = build_field(2, 4)
-    assert maximal_field_of(subspace_spanned(field, [1])) == 1
-    assert maximal_field_of(subspace_spanned(field, [1, field.alpha])) == 1
-    sub4 = subspace_spanned(field, list(field.subfield(2)))
-    assert maximal_field_of(sub4) == 2
+    assert maximal_field_of(field, subspace_spanned(field, [1])) == 1
+    assert maximal_field_of(field, subspace_spanned(field, [1, field.alpha])) == 1
+    sub4 = subspace_spanned(field, list(subfield(field, 2)))
+    assert maximal_field_of(field, sub4) == 2
     whole = subspace_spanned(field, list(range(16)))
-    assert maximal_field_of(whole) == 4
+    assert maximal_field_of(field, whole) == 4
     with pytest.raises(InvalidParameterError):
-        maximal_field_of(Subspace(field, ()))
+        maximal_field_of(field, ())
 
 
 def test_classify_matches_moebius_counts():
@@ -92,37 +101,37 @@ def test_qc_index_single_zero_matches_contribution():
     for q, n, zero in [(2, 4, 1), (3, 2, 1), (3, 2, 2), (2, 3, 1)]:
         spec = validate_spec(q, n, [zero])
         field = oracle_field(spec)
-        for space in enumerate_subspaces(field):
-            d = maximal_field_of(space)
+        for basis in enumerate_subspaces(field):
+            d = maximal_field_of(field, basis)
             expect = index_contribution(zero, subfield_index(q, n, d))
-            code = build_subcode(field, spec, [space])
-            assert qc_index(code) == expect, (q, n, zero, space.basis)
+            rows = build_subcode(field, spec, [basis])
+            assert qc_index(spec, rows) == expect, (q, n, zero, basis)
 
 
 def test_qc_index_known_cases():
     spec = validate_spec(2, 4, [1])
     field = oracle_field(spec)
-    sub4 = subspace_spanned(field, list(field.subfield(2)))
-    assert qc_index(build_subcode(field, spec, [sub4])) == 5
+    sub4 = subspace_spanned(field, list(subfield(field, 2)))
+    assert qc_index(spec, build_subcode(field, spec, [sub4])) == 5
     one = subspace_spanned(field, [1])
-    assert qc_index(build_subcode(field, spec, [one])) == 15
+    assert qc_index(spec, build_subcode(field, spec, [one])) == 15
     mixed = subspace_spanned(field, [1, field.alpha])
-    assert qc_index(build_subcode(field, spec, [mixed])) == 15
+    assert qc_index(spec, build_subcode(field, spec, [mixed])) == 15
     whole = subspace_spanned(field, list(range(16)))
-    assert qc_index(build_subcode(field, spec, [whole])) == 1
+    assert qc_index(spec, build_subcode(field, spec, [whole])) == 1
     with pytest.raises(InvalidParameterError):
-        qc_index(build_subcode(field, spec, [Subspace(field, ())]))
+        qc_index(spec, build_subcode(field, spec, [()]))
 
 
 def test_subcode_dimension_is_sum_of_space_dimensions():
     spec = validate_spec(2, 4, [1, 3])
     field = oracle_field(spec)
-    spaces = [Subspace(field, ())] + list(enumerate_subspaces(field))
+    spaces = [()] + list(enumerate_subspaces(field))
     rng = random.Random(7)
     for _ in range(120):
         tup = [rng.choice(spaces), rng.choice(spaces)]
-        code = build_subcode(field, spec, tup)
-        assert code.dim == sum(s.dim for s in tup)
+        rows = build_subcode(field, spec, tup)
+        assert len(rows) == sum(len(basis) for basis in tup)
 
 
 def test_simplex_words_have_weight_eight():
@@ -138,11 +147,11 @@ def test_subfield_coefficient_space_gives_three_word_code():
     # coefficients from F_4: a 2-dimensional code, all weights 8, index 5
     spec = validate_spec(2, 4, [1])
     field = oracle_field(spec)
-    sub4 = subspace_spanned(field, list(field.subfield(2)))
-    code = build_subcode(field, spec, [sub4])
-    assert code.dim == 2
+    sub4 = subspace_spanned(field, list(subfield(field, 2)))
+    rows = build_subcode(field, spec, [sub4])
+    assert len(rows) == 2
     words = set()
-    for b in field.subfield(2):
+    for b in subfield(field, 2):
         if b:
             words.add(code_word(field, [1], [b]))
     third = tuple((a + b) % 2 for a, b in zip(*sorted(words)[:2]))
@@ -152,7 +161,7 @@ def test_subfield_coefficient_space_gives_three_word_code():
         assert sum(w) == 8
         # the 5-shift permutes the codewords; it need not fix each one
         assert w[-5:] + w[:-5] in words
-    assert qc_index(code) == 5
+    assert qc_index(spec, rows) == 5
 
 
 MEASURED_SPECS = [
@@ -205,6 +214,35 @@ def test_distinctness_counts():
     assert (report.total_tuples, report.distinct_codes) == (4489, 4489)
 
 
+@pytest.mark.parametrize("walk", [measured_histogram, verify_distinctness])
+@pytest.mark.parametrize(
+    "q, n, zeros, cap, tuples",
+    # under the cap on q^n, over the walk limit; a raised cap does not help
+    [(2, 6, [1, 3], None, 7980625), (2, 9, [1], 512, 8283458)],
+)
+def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples, monkeypatch):
+    monkeypatch.delenv(ENV_CAP, raising=False)
+
+    def unreachable(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(oracle, "enumerate_subspaces", unreachable)
+    monkeypatch.setattr(oracle, "build_subcode", unreachable)
+    with pytest.raises(CapExceededError, match=f"{tuples} subspace tuples"):
+        walk(validate_spec(q, n, zeros), cap=cap)
+
+
+@pytest.mark.parametrize("q, n, zeros, tuples", [(2, 8, [1], 417199), (2, 4, [1, 3, 7], 300763)])
+def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
+    monkeypatch.delenv(ENV_CAP, raising=False)
+    spec = validate_spec(q, n, zeros)
+    assert grand_total(spec) == tuples <= WALK_LIMIT
+    # with no subspaces to yield, the admitted walk visits the zero tuple alone
+    monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
+    report = verify_distinctness(spec)
+    assert (report.total_tuples, report.distinct_codes) == (1, 1)
+
+
 def test_trace_nondegeneracy_exhaustive():
     spec = validate_spec(2, 4, [1, 3])
     report = verify_trace_nondegeneracy(spec)
@@ -246,10 +284,10 @@ def test_alpha_independence_of_measured_histogram():
     base_field = oracle_field(spec)
     base = measured_histogram(spec, field=base_field)
     tried = 0
-    for alpha in base_field.primitive_elements():
+    for alpha in primitive_elements(base_field):
         if alpha == base_field.alpha:
             continue
-        other = measured_histogram(spec, field=base_field.with_alpha(alpha))
+        other = measured_histogram(spec, field=with_alpha(base_field, alpha))
         assert other.entries == base.entries
         assert other.index_n_count == base.index_n_count
         tried += 1
