@@ -11,7 +11,6 @@ from itertools import combinations
 from .numth import InvalidParameterError, divisors_of, factorize, moebius
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional F_q-subspaces of an n-dimensional F_q-space.
 

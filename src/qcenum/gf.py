@@ -1,12 +1,13 @@
 """Explicit finite fields F_{p^m} with exp, log and trace tables.
 
 Elements are integers in [0, p^m): the base-p digits of x are its coordinates
-in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus).  The modulus
-and the designated primitive element are chosen deterministically (smallest in
-this integer encoding), so the same parameters always rebuild the identical
-field.  ExtField(p, m, modulus, alpha) with another alpha gives the same
-field with another primitive element; its table build rejects an element that
-is not primitive.  The inverse of a nonzero a is pow(a, -1).
+in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus), so an element
+is built from coordinates as an integer, with no field method.  The modulus
+(irreducible by Ben-Or's test) and the designated primitive element are the
+smallest in this integer encoding, so the same parameters always rebuild the
+identical field.  ExtField(p, m, modulus, alpha) with another alpha gives the
+same field with another primitive element; its table build rejects an element
+that is not primitive.  The inverse of a nonzero a is pow(a, -1).
 """
 
 from .numth import InvalidParameterError, factorize, is_prime
@@ -89,39 +90,26 @@ def _poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
 
 
 def is_irreducible(p: int, coeffs) -> bool:
-    """Irreducibility of a monic degree-m polynomial over F_p.
+    """Irreducibility of a monic degree-m polynomial over F_p (Ben-Or, FOCS 1981).
 
-    Uses the standard criterion: t^(p^m) = t mod f, and for every prime r
-    dividing m, gcd(t^(p^(m/r)) - t, f) is constant.
+    A reducible f has an irreducible factor of some degree i <= m/2, which
+    divides t^(p^i) - t, so f is irreducible iff gcd(t^(p^i) - t, f) = 1 for
+    every i = 1..m//2.
     """
-    f = list(coeffs)
+    f = tuple(coeffs)
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise InvalidParameterError("modulus must be monic of degree >= 1")
-    checkpoints = {m // r for r, _ in factorize(m)}
-    cur = [0, 1] if m > 1 else [(-f[0]) % p]
-    for j in range(1, m + 1):
-        # cur := cur^p mod f by square-and-multiply on the exponent p
-        acc = [1]
-        base = cur
-        e = p
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(p, acc, base, f)
-            base = _poly_mulmod(p, base, base, f)
-            e >>= 1
-        cur = acc
-        if j in checkpoints:
-            diff = list(cur) + [0] * (2 - len(cur))
-            diff[1] = (diff[1] - 1) % p
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if len(_poly_gcd(p, f, diff)) > 1:
-                return False
-    target = [0, 1] if m > 1 else [(-f[0]) % p]
-    while target and target[-1] == 0:
-        target.pop()
-    return cur == target
+    x = p  # t: its one nonzero base-p digit is the 1 at position 1
+    for _ in range(m // 2):
+        x = _raw_pow(p, f, x, p)
+        diff = _digits(x, p, m)
+        diff[1] = (diff[1] - 1) % p
+        while diff and diff[-1] == 0:
+            diff.pop()
+        if len(_poly_gcd(p, f, diff)) > 1:
+            return False
+    return True
 
 
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -182,9 +170,6 @@ class ExtField:
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, m={self.m}, modulus={self.modulus}, alpha={self.alpha})"
-
-    def from_coeffs(self, ds) -> int:
-        return _undigits(list(ds), self.p)
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:

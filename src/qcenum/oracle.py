@@ -117,18 +117,6 @@ def _rref(p: int, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cleared[c]) for c in sorted(cleared))
 
 
-def _pivot_map(rref_rows) -> dict[int, tuple[int, ...]]:
-    out = {}
-    for row in rref_rows:
-        lead = next(idx for idx, v in enumerate(row) if v)
-        out[lead] = row
-    return out
-
-
-def _in_span(p: int, pivots: dict[int, tuple[int, ...]], row) -> bool:
-    return not any(_reduce(p, pivots, row))
-
-
 # -- subspaces ----------------------------------------------------------------
 
 
@@ -137,7 +125,9 @@ def enumerate_subspaces(field: ExtField):
     built: by dimension, then ascending pivot-column set, then fill.
 
     A subspace is the tuple of its basis elements whose coordinate rows form
-    an RREF matrix, pivots ascending.
+    an RREF matrix, pivots ascending.  It is built as an integer, its base-p
+    digits being its coordinates: a pivot at column c adds p^c to its row,
+    and a fill value v in cell (r, c) adds v * p^c to row r.
 
     For each dimension and each ascending pivot-column set, the non-pivot
     cells to the right of each pivot range over F_p in product order; this
@@ -146,20 +136,15 @@ def enumerate_subspaces(field: ExtField):
     n, p = field.m, field.p
     for k in range(1, n + 1):
         for pivots in combinations(range(n), k):
-            pivot_set = set(pivots)
+            leads = [p**c for c in pivots]
             free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivot_set
+                (r, p**c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots
             ]
             for fill in product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for r, c in zip(range(k), pivots):
-                    rows[r][c] = 1
-                for (r, c), v in zip(free, fill):
-                    rows[r][c] = v
-                yield tuple(field.from_coeffs(r) for r in rows)
+                rows = list(leads)
+                for (r, weight), v in zip(free, fill):
+                    rows[r] += v * weight
+                yield tuple(rows)
 
 
 # -- trace-representation codes ----------------------------------------------
@@ -212,9 +197,10 @@ def qc_index(spec: CodeSpec, rows) -> int:
     """
     if not rows:
         raise InvalidParameterError("the zero code has no shift index")
-    pivots = _pivot_map(rows)
+    # an RREF row is zero left of its lead entry, which is 1: its first 1 is the pivot
+    pivots = {row.index(1): row for row in rows}
     for ell in divisors_of(spec.N):
-        if all(_in_span(spec.q, pivots, row[-ell:] + row[:-ell]) for row in rows):
+        if all(not any(_reduce(spec.q, pivots, row[-ell:] + row[:-ell])) for row in rows):
             return ell
     raise AssertionError("unreachable: the N-shift is the identity")
 

@@ -1,6 +1,6 @@
-"""Reference helpers that only the tests use: field coordinates, subfields,
-primitive elements, subspace spans and fields of scalars, trace annihilators
-and the tuple total.
+"""Reference helpers that only the tests use: field coordinates and the
+element with given coordinates, subfields, primitive elements, subspace spans
+and fields of scalars, trace annihilators and the tuple total.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -15,7 +15,7 @@ from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
 from qcenum.index_calc import subfield_index
 from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
-from qcenum.oracle import _in_span, _pivot_map, _rref, code_word, enumerate_subspaces
+from qcenum.oracle import _reduce, _rref, code_word, enumerate_subspaces
 
 # -- the field ------------------------------------------------------------------
 
@@ -23,6 +23,11 @@ from qcenum.oracle import _in_span, _pivot_map, _rref, code_word, enumerate_subs
 def coeffs(field: ExtField, x: int) -> tuple[int, ...]:
     """Coordinates of x in the polynomial basis (constant term first)."""
     return tuple(x // field.p**j % field.p for j in range(field.m))
+
+
+def from_coeffs(field: ExtField, ds) -> int:
+    """The element with coordinates ds (constant term first)."""
+    return sum(d * field.p**j for j, d in enumerate(ds))
 
 
 def with_alpha(field: ExtField, alpha: int) -> ExtField:
@@ -69,7 +74,7 @@ def elements(field: ExtField, basis) -> set[int]:
 def subspace_spanned(field: ExtField, spanning) -> tuple[int, ...]:
     """The canonical basis of the subspace generated by arbitrary elements."""
     rows = _rref(field.p, [coeffs(field, x) for x in spanning])
-    return tuple(field.from_coeffs(r) for r in rows)
+    return tuple(from_coeffs(field, r) for r in rows)
 
 
 def maximal_field_of(field: ExtField, basis) -> int:
@@ -81,11 +86,12 @@ def maximal_field_of(field: ExtField, basis) -> int:
     """
     if not basis:
         raise InvalidParameterError("the zero space is defined over every subfield")
-    pivots = _pivot_map([coeffs(field, b) for b in basis])
+    # the basis is RREF, so the first 1 in each coordinate row marks its pivot
+    pivots = {row.index(1): row for row in (coeffs(field, b) for b in basis)}
     for d in sorted(divisors_of(field.m), reverse=True):
         g = subfield_generator(field, d)
         if all(
-            _in_span(field.p, pivots, coeffs(field, field.mul(g, b))) for b in basis
+            not any(_reduce(field.p, pivots, coeffs(field, field.mul(g, b)))) for b in basis
         ):
             return d
     raise AssertionError("unreachable: d = 1 always closes")

@@ -4,7 +4,14 @@ import pytest
 
 from qcenum.gf import CapExceededError, build_field, is_irreducible
 from qcenum.numth import InvalidParameterError
-from reference import coeffs, primitive_elements, subfield, subfield_generator, with_alpha
+from reference import (
+    coeffs,
+    from_coeffs,
+    primitive_elements,
+    subfield,
+    subfield_generator,
+    with_alpha,
+)
 
 
 def poly_divides(p, g, f):
@@ -48,7 +55,10 @@ def all_monic(p, m):
         yield coeffs + [1]
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (2, 6), (2, 8), (3, 4), (7, 2)],
+)
 def test_is_irreducible_against_trial_division(p, m):
     for f in all_monic(p, m):
         assert is_irreducible(p, f) == brute_irreducible(p, f), (p, f)
@@ -81,6 +91,9 @@ def test_canonical_fields_pinned():
     f9 = build_field(3, 2)
     assert f9.modulus == (1, 0, 1)
     assert f9.alpha == 4
+    f256 = build_field(2, 8)  # the smallest irreducible, t is not primitive
+    assert f256.modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    assert f256.alpha == 3
 
 
 def test_build_field_deterministic():
@@ -123,7 +136,7 @@ def independent_mul(field, a, b):
         prod[i] = 0
         for j in range(m):
             prod[i - m + j] = (prod[i - m + j] - c * field.modulus[j]) % p
-    return field.from_coeffs(prod[:m])
+    return from_coeffs(field, prod[:m])
 
 
 @pytest.mark.parametrize("p, m", [(2, 4), (3, 2), (2, 3)])

@@ -1,11 +1,14 @@
-"""The package's top-level API is exactly what the README documents."""
+"""The package's top-level API is exactly what the README documents, and
+every name defined in the package has a caller."""
 
+import ast
 import re
 from pathlib import Path
 
 import qcenum
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _library_section() -> str:
@@ -19,3 +22,38 @@ def test_every_exported_name_resolves_and_is_documented():
     for name in qcenum.__all__:
         assert hasattr(qcenum, name), name
         assert re.search(rf"`{re.escape(name)}`", library), name
+
+
+def _trees(directory: Path) -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))]
+
+
+def _defined(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("__"):
+                    yield item.name
+
+
+def _referenced(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_package_name_has_a_caller():
+    """A def or class in src/qcenum is read in src/qcenum or bench/, or is
+    exported; a helper that only the tests use belongs in tests/reference.py."""
+    src = _trees(ROOT / "src" / "qcenum")
+    callers = src + _trees(ROOT / "bench")
+    defined = {name for tree in src for name in _defined(tree)}
+    referenced = {name for tree in callers for name in _referenced(tree)}
+    assert defined, "no definitions found"
+    assert sorted(defined - referenced - set(qcenum.__all__)) == []
