@@ -1,45 +1,34 @@
 """Exact subspace counting over finite fields.
 
+subspace_total counts the nonzero subspaces of F_q^n by the Galois-number
+recurrence, and maximal_counts sorts the nonzero subspaces of F_{q^n} by their
+largest field of scalars through Moebius inversion on the divisor lattice of n.
 All counts are plain Python integers, so they stay exact at any size; several
 of the interesting multiplicities run to dozens of digits.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .numth import InvalidParameterError, divisors_of, factorize, moebius
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional F_q-subspaces of an n-dimensional F_q-space.
-
-    Computed as prod_{i=1..k} (q^(n-k+i) - 1) / (q^i - 1).  After i steps the
-    partial product equals the (n-k+i choose i) Gaussian binomial, so every
-    intermediate division is exact.
-    """
-    if n < 0:
-        raise InvalidParameterError(f"need n >= 0, got n={n}")
-    if q < 2:
-        raise InvalidParameterError(f"need q >= 2, got q={q}")
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (q ** (n - k + i) - 1) // (q**i - 1)
-    return result
-
-
-@lru_cache(maxsize=None)
 def subspace_total(n: int, q: int) -> int:
     """Number of nonzero F_q-subspaces of an n-dimensional space.
 
-    The zero subspace is not counted, so this is sum_{k=1..n} of the Gaussian
-    binomials.
+    The Galois number G_n counts every subspace, zero included, and obeys
+    G_{m+1} = 2*G_m + (q^m - 1)*G_{m-1} with G_0 = 1 and G_1 = 2 (Goldman and
+    Rota), so this is G_n - 1 after n - 1 steps of the recurrence.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got n={n}")
-    return sum(gaussian_binomial(n, k, q) for k in range(1, n + 1))
+    if q < 2:
+        raise InvalidParameterError(f"need q >= 2, got q={q}")
+    prev, cur, qm = 1, 2, 1
+    for _ in range(1, n):
+        qm *= q
+        prev, cur = cur, 2 * cur + (qm - 1) * prev
+    return cur - 1
 
 
 @dataclass(frozen=True)
@@ -61,14 +50,16 @@ def maximal_counts(n: int, q: int) -> MaximalCountTable:
     A subspace defined over F_{q^d} is an F_{q^d}-subspace of an (n/d)-dimensional
     F_{q^d}-space, so Moebius inversion over the divisor lattice of n/d gives
 
-        M(d) = sum_{m | n/d} mu(m) * subspace_total((n/d)/m, q^(d*m)).
+        M(d) = sum_{m | n/d} mu(m) * subspace_total(n/(d*m), q^(d*m)).
+
+    The term depends on d and m only through e = d*m, a divisor of n, so the
+    tau(n) totals are computed once and every pair (d, m) reads its own.
     """
-    counts = {}
-    for d in divisors_of(n):
-        c = n // d
-        counts[d] = sum(
-            moebius(m) * subspace_total(c // m, q ** (d * m)) for m in divisors_of(c)
-        )
+    totals = {e: subspace_total(n // e, q**e) for e in divisors_of(n)}
+    counts = {
+        d: sum(moebius(m) * totals[d * m] for m in divisors_of(n // d))
+        for d in divisors_of(n)
+    }
     return MaximalCountTable(q=q, n=n, counts=counts)
 
 

@@ -2,9 +2,11 @@
 
 For a primitive element of F_{q^n}, the least positive power landing in the
 subfield F_{q^d} is (q^n - 1)/(q^d - 1).  A dual zero exponent i reaches that
-subfield after lcm(i, step)/i further steps; folding these contributions under
-lcm across all zeros, weighted by subspace counts, yields every index with
-its multiplicity; the achievable index set is the support of that fold.
+subfield after lcm(i, step)/i further steps.  The indices are the lcms of one
+contribution per zero (1 for the zero subspace): that lcm-closure is the
+achievable index set, and Moebius inversion on it, ordered by divisibility,
+folds the contributions weighted by subspace counts into every index's
+multiplicity.
 """
 
 import math
@@ -85,36 +87,54 @@ class IndexSet:
         return len(self.values)
 
 
+def _lcm_closure(columns) -> list[int]:
+    """Every lcm of one entry per column, ascending; each column holds 1, so
+    the closure holds 1 and every entry."""
+    closure = {1}
+    for column in columns:
+        closure = {math.lcm(a, x) for a in closure for x in column}
+    return sorted(closure)
+
+
 def lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> dict[int, int]:
     """Weighted count of subspace selections per lcm of their contributions.
 
     Each zero independently contributes 1 with weight 1 (the zero subspace)
     or its column entry for divisor d with weight weights[d]; contributions
     combine under lcm and weights multiply.  Equal entries within a column
-    are merged before folding.  Every key divides N, and key 1 is always
-    present.
+    are merged first.  The keys are the lcm-closure L of the columns, so every
+    key divides N and key 1 is always present.
+
+    A selection's lcm divides D exactly when each of its entries does, so the
+    weight of the selections with lcm dividing D is the product over columns
+    of the weights of the entries dividing D.  That is the zeta transform of
+    the wanted counts on L ordered by divisibility, and walking L upwards
+    Moebius-inverts it: each count is its product minus the counts at its
+    proper divisors in L.
     """
-    acc = {1: 1}
+    columns = []
     for zero in matrix.spec.zeros:
         options = {1: 1}
         for d, x in zip(matrix.divisors, matrix.column(zero)):
             options[x] = options.get(x, 0) + weights[d]
-        # lcm(l0, 1) = l0, so contribution 1 only scales every bucket
-        stay = options.pop(1)
-        nxt = {l0: c0 * stay for l0, c0 in acc.items()}
-        for l0, c0 in acc.items():
-            for l1, c1 in options.items():
-                key = math.lcm(l0, l1)
-                nxt[key] = nxt.get(key, 0) + c0 * c1
-        acc = nxt
-    return acc
+        columns.append(options)
+    exact = {}
+    for top in _lcm_closure(columns):
+        zeta = 1
+        for options in columns:
+            zeta *= sum(w for x, w in options.items() if top % x == 0)
+        exact[top] = zeta - sum(c for key, c in exact.items() if top % key == 0)
+    return exact
 
 
 def index_set(spec: CodeSpec) -> IndexSet:
     """All indices achievable by some choice of subspaces, with N removed:
-    the support of the lcm fold under unit weights."""
+    the lcm-closure of the contribution columns, each with 1 added for the
+    zero subspace."""
     matrix = contribution_matrix(spec)
-    reachable = set(lcm_fold(matrix, dict.fromkeys(matrix.divisors, 1)))
-    excluded = spec.N in reachable
-    reachable.discard(spec.N)
-    return IndexSet(values=tuple(sorted(reachable)), excluded_n=excluded)
+    reachable = _lcm_closure({1, *matrix.column(zero)} for zero in spec.zeros)
+    # every value divides N, so N can only come last
+    excluded = reachable[-1] == spec.N
+    if excluded:
+        reachable.pop()
+    return IndexSet(values=tuple(reachable), excluded_n=excluded)

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: field coordinates and the
 element with given coordinates, subfields, primitive elements, subspace spans
-and fields of scalars, trace annihilators and the tuple total.
+and fields of scalars, Gaussian binomials, the pairwise lcm fold, trace
+annihilators and the tuple total.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -9,11 +10,11 @@ space.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
-from qcenum.index_calc import subfield_index
+from qcenum.index_calc import ContributionMatrix, subfield_index
 from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
 from qcenum.oracle import _reduce, _rref, code_word, enumerate_subspaces
 
@@ -104,6 +105,47 @@ def classify_all_subspaces(field: ExtField) -> dict[int, int]:
         d = maximal_field_of(field, basis)
         out[d] = out.get(d, 0) + 1
     return {d: out[d] for d in sorted(out)}
+
+
+# -- counting -------------------------------------------------------------------
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional F_q-subspaces of an n-dimensional F_q-space.
+
+    Computed as prod_{i=1..k} (q^(n-k+i) - 1) / (q^i - 1).  After i steps the
+    partial product equals the (n-k+i choose i) Gaussian binomial, so every
+    intermediate division is exact.
+    """
+    if n < 0:
+        raise InvalidParameterError(f"need n >= 0, got n={n}")
+    if q < 2:
+        raise InvalidParameterError(f"need q >= 2, got q={q}")
+    if k < 0 or k > n:
+        return 0
+    result = 1
+    for i in range(1, k + 1):
+        result = result * (q ** (n - k + i) - 1) // (q**i - 1)
+    return result
+
+
+def pairwise_lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> dict[int, int]:
+    """index_calc.lcm_fold by folding one column at a time: every bucket of
+    the running table meets every entry of the next column under lcm."""
+    acc = {1: 1}
+    for zero in matrix.spec.zeros:
+        options = {1: 1}
+        for d, x in zip(matrix.divisors, matrix.column(zero)):
+            options[x] = options.get(x, 0) + weights[d]
+        # lcm(l0, 1) = l0, so contribution 1 only scales every bucket
+        stay = options.pop(1)
+        nxt = {l0: c0 * stay for l0, c0 in acc.items()}
+        for l0, c0 in acc.items():
+            for l1, c1 in options.items():
+                key = lcm(l0, l1)
+                nxt[key] = nxt.get(key, 0) + c0 * c1
+        acc = nxt
+    return acc
 
 
 # -- codes ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import test_golden_tables as golden
 from qcenum import cli
 from qcenum.closed_form import cross_check, family_table
 from qcenum.counting import (
-    gaussian_binomial,
     maximal_counts,
     maximal_counts_inclusion_exclusion,
     subspace_total,
@@ -35,7 +34,13 @@ from qcenum.oracle import (
     qc_index,
     verify_distinctness,
 )
-from reference import primitive_elements, subfield, subspace_spanned, with_alpha
+from reference import (
+    gaussian_binomial,
+    primitive_elements,
+    subfield,
+    subspace_spanned,
+    with_alpha,
+)
 
 CANDIDATE_ZEROS = {2: ((1,), (1, 3), (1, 3, 5)), 3: ((1,), (1, 2), (1, 2, 4))}
 

@@ -1,17 +1,21 @@
 """Shift-index arithmetic: subfield steps, contributions, achievable index sets."""
 
 import math
+import random
 from itertools import product
 
 import pytest
 
+from qcenum.counting import maximal_counts
 from qcenum.index_calc import (
     contribution_matrix,
     index_contribution,
     index_set,
+    lcm_fold,
     subfield_index,
 )
 from qcenum.numth import InvalidParameterError, divisors_of, validate_spec
+from reference import pairwise_lcm_fold
 
 
 def index_set_combinations(spec) -> set[int]:
@@ -159,3 +163,29 @@ def test_index_set_divisor_gaps_exist():
     iset = index_set(validate_spec(2, 4, [1]))
     assert 3 not in iset
     assert set(iset) == {1, 5}
+
+
+def fold_specs() -> list:
+    """60 seeded valid specs on the sweep's (n, q) grid with 1-8 zeros,
+    then two large rows whose folds run to thousands of digits."""
+    rng = random.Random(2024)
+    specs = []
+    while len(specs) < 60:
+        n = rng.choice((24, 36, 48, 60, 120))
+        q = rng.choice((2, 3, 4, 5, 9))
+        try:
+            specs.append(validate_spec(q, n, rng.sample(range(1, 64), rng.randint(1, 8))))
+        except InvalidParameterError:
+            continue
+    return specs + [validate_spec(2, 360, [1, 3, 5, 7]), validate_spec(2, 240, [1, 3, 5, 7, 9, 11])]
+
+
+def test_lcm_fold_equals_pairwise_fold():
+    for spec in fold_specs():
+        matrix = contribution_matrix(spec)
+        weights = maximal_counts(spec.n, spec.q).counts
+        fold = lcm_fold(matrix, weights)
+        assert fold == pairwise_lcm_fold(matrix, weights), (spec.q, spec.n, spec.zeros)
+        iset = index_set(spec)
+        assert set(iset.values) == set(fold) - {spec.N}, (spec.q, spec.n, spec.zeros)
+        assert iset.excluded_n == (spec.N in fold), (spec.q, spec.n, spec.zeros)

@@ -57,7 +57,7 @@ def test_enumerate_subspaces_unique_and_complete():
             seen.add(elems)
             assert len(elems) == p ** len(basis)
             dims[len(basis)] = dims.get(len(basis), 0) + 1
-        from qcenum.counting import gaussian_binomial
+        from reference import gaussian_binomial
 
         assert dims == {
             k: gaussian_binomial(m, k, p) for k in range(1, m + 1)
