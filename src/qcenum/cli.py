@@ -2,14 +2,15 @@
 
 Subcommands: indices, enumerate, closed-form, verify, subspaces.  Output goes
 to stdout as human-readable text, CSV, or JSON (counts as decimal strings,
-keys sorted); diagnostics go to stderr.  Exit codes: 0 success, 2 bad usage or
+keys sorted); diagnostics go to stderr.  Exit codes: 0 success, 1 stdout
+closed before the output was written (e.g. piped into head), 2 bad usage or
 validation, 3 verification failure or closed-form discrepancy.
 """
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, replace
 
 from .closed_form import FAMILIES, cross_check, family_table
 from .counting import maximal_counts, subspace_total
@@ -27,6 +28,7 @@ from .oracle import (
 )
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 
@@ -61,7 +63,7 @@ def _table_record(table: IndexTable, engine: str) -> dict:
             {"index": k, "count": str(v)} for k, v in table.entries.items()
         ],
         "index_N_count": str(table.index_n_count),
-        "options": asdict(table.options),
+        "options": table.options._asdict(),
         "engine": engine,
     }
 
@@ -156,7 +158,7 @@ def cmd_closed_form(args) -> int:
         print("normalized:     " + _pairs(normalized))
         print("generic engine: " + _pairs(report.generic.entries))
     else:
-        _emit_table(replace(report.generic, entries=normalized), "closed-form", args.format)
+        _emit_table(report.generic._replace(entries=normalized), "closed-form", args.format)
     if not report.ok:
         for row in report.mismatches:
             print(
@@ -337,7 +339,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+    except BrokenPipeError:
+        # the reader stopped early; send the rest of the output to devnull so
+        # that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_STDOUT_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

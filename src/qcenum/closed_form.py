@@ -16,12 +16,12 @@ Families:
   bch3-pary-twoprimes      odd prime q=p, zeros [1,2], n = u*v
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import maximal_counts_inclusion_exclusion, subspace_total
-from .enumeration import IndexTable, multiplicity_table
+from .enumeration import multiplicity_table
 from .index_calc import subfield_index
-from .numth import CodeSpec, InvalidParameterError, is_prime, validate_spec
+from .numth import InvalidParameterError, is_prime, validate_spec
 
 FAMILY_SIMPLEX = "simplex"
 FAMILY_BCH2_PRIMEPOWER = "bch2-binary-primepower"
@@ -36,18 +36,14 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class ClosedFormTable:
+class ClosedFormTable(namedtuple("ClosedFormTable", "family params spec literal")):
     """A family formula evaluation.
 
     literal holds the counts exactly as the formulas state them; the cyclic
     bucket at index 1 includes the code itself.
     """
 
-    family: str
-    params: dict[str, int]
-    spec: CodeSpec
-    literal: dict[int, int]
+    __slots__ = ()
 
     def normalized(self) -> dict[int, int]:
         """Proper-subcode convention: drop the code itself from index 1."""
@@ -251,18 +247,11 @@ def family_table(family: str, **params) -> ClosedFormTable:
     raise InvalidParameterError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
-    index: int
-    closed_count: int
-    generic_count: int
+DiscrepancyRow = namedtuple("DiscrepancyRow", "index closed_count generic_count")
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    table: ClosedFormTable
-    generic: IndexTable
-    mismatches: tuple[DiscrepancyRow, ...]
+class DiscrepancyReport(namedtuple("DiscrepancyReport", "table generic mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -7,7 +7,7 @@ All counts are plain Python integers, so they stay exact at any size; several
 of the interesting multiplicities run to dozens of digits.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .numth import InvalidParameterError, divisors_of, factorize, moebius
@@ -31,17 +31,14 @@ def subspace_total(n: int, q: int) -> int:
     return cur - 1
 
 
-@dataclass(frozen=True)
-class MaximalCountTable:
+class MaximalCountTable(namedtuple("MaximalCountTable", "q n counts")):
     """Counts of nonzero subspaces of F_{q^n} by their largest field of scalars.
 
     counts[d] is the number of subspaces closed under F_{q^d}-multiplication
     but under no larger intermediate field.
     """
 
-    q: int
-    n: int
-    counts: dict[int, int]
+    __slots__ = ()
 
 
 def maximal_counts(n: int, q: int) -> MaximalCountTable:

@@ -10,15 +10,20 @@ a table under the counting conventions, for this fold and for the oracle's
 measured tally alike.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import maximal_counts
 from .index_calc import contribution_matrix, lcm_fold
 from .numth import CodeSpec
 
 
-@dataclass(frozen=True)
-class EnumerationOptions:
+class EnumerationOptions(
+    namedtuple(
+        "EnumerationOptions",
+        "exclude_zero_code exclude_full_code report_index_n",
+        defaults=(True, True, True),
+    )
+):
     """Counting conventions.
 
     Defaults count proper nonzero subcodes: the zero code (all subspaces zero)
@@ -27,22 +32,16 @@ class EnumerationOptions:
     reported separately rather than as an index.
     """
 
-    exclude_zero_code: bool = True
-    exclude_full_code: bool = True
-    report_index_n: bool = True
+    __slots__ = ()
 
 
 DEFAULT_OPTIONS = EnumerationOptions()
 
 
-@dataclass(frozen=True)
-class IndexTable:
+class IndexTable(namedtuple("IndexTable", "spec entries index_n_count options")):
     """Multiplicity of subcodes per achievable index, keys ascending."""
 
-    spec: CodeSpec
-    entries: dict[int, int]
-    index_n_count: int
-    options: EnumerationOptions
+    __slots__ = ()
 
 
 def tabulate(

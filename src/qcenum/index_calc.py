@@ -10,7 +10,7 @@ multiplicity.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numth import CodeSpec, InvalidParameterError, divisors_of
 
@@ -38,17 +38,14 @@ def index_contribution(zero: int, step: int) -> int:
     return step // math.gcd(zero, step)
 
 
-@dataclass(frozen=True)
-class ContributionMatrix:
+class ContributionMatrix(namedtuple("ContributionMatrix", "spec divisors rows")):
     """Per-(divisor, zero) shift contributions for a code spec.
 
     rows[d][j] is the contribution of spec.zeros[j] for a subspace maximally
     defined over F_{q^d}.
     """
 
-    spec: CodeSpec
-    divisors: tuple[int, ...]
-    rows: dict[int, tuple[int, ...]]
+    __slots__ = ()
 
     def column(self, zero: int) -> tuple[int, ...]:
         j = self.spec.zeros.index(zero)
@@ -66,16 +63,20 @@ def contribution_matrix(spec: CodeSpec) -> ContributionMatrix:
     return ContributionMatrix(spec=spec, divisors=divs, rows=rows)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(namedtuple("IndexSet", "values excluded_n")):
     """Achievable proper shift indices, ascending; always contains 1.
 
     Selections whose combined lcm equals the full length N are not indices of
     proper quasi-cyclic structure; excluded_n records whether any exist.
+    len, iteration and `in` go over values, so the tuple helpers _make,
+    _replace and _asdict do not apply.
     """
 
-    values: tuple[int, ...]
-    excluded_n: bool
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild from this; tuple(self) would give the values
+        return (self.values, self.excluded_n)
 
     def __iter__(self):
         return iter(self.values)

@@ -6,7 +6,7 @@ function, q-cyclotomic cosets mod N, and validation of cyclic-code parameters
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -144,18 +144,14 @@ def cyclotomic_coset(i: int, q: int, N: int) -> frozenset[int]:
     return frozenset(orbit)
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(namedtuple("CodeSpec", "q n zeros N")):
     """A cyclic code of length N = q^n - 1 given by canonical dual-zero exponents.
 
     Every zero has a full-size (= n) cyclotomic coset and the zeros lie in
     pairwise distinct cosets; each is the smallest member of its coset.
     """
 
-    q: int
-    n: int
-    zeros: tuple[int, ...]
-    N: int
+    __slots__ = ()
 
     @property
     def s(self) -> int:

@@ -23,8 +23,7 @@ more than WALK_LIMIT tuples before they enumerate a subspace, whatever the cap.
 """
 
 import os
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .counting import subspace_total
@@ -248,11 +247,10 @@ def measured_histogram(
 # -- verification reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
-    total_tuples: int
-    distinct_codes: int
-    collisions: tuple = ()
+class DistinctnessReport(
+    namedtuple("DistinctnessReport", "total_tuples distinct_codes collisions", defaults=((),))
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -278,11 +276,8 @@ def verify_distinctness(
     )
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    checked: int
-    annihilators: int
-    exhaustive: bool
+class NondegeneracyReport(namedtuple("NondegeneracyReport", "checked annihilators exhaustive")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -296,6 +291,8 @@ def _coefficient_tuples(field: ExtField, s: int, limit: int, samples: int):
     if field.size**s <= limit:
         yield from product(range(field.size), repeat=s)
         return
+    import random  # here, not at the top: `import qcenum.cli` stays without it
+
     rng = random.Random(SEED)
     for _ in range(samples):
         coeffs = (0,) * s
@@ -325,10 +322,8 @@ def verify_trace_nondegeneracy(
     )
 
 
-@dataclass(frozen=True)
-class ShiftLemmaReport:
-    checked: int
-    mismatches: int
+class ShiftLemmaReport(namedtuple("ShiftLemmaReport", "checked mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

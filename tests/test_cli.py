@@ -21,6 +21,13 @@ def run(capsys, *argv):
     return code, out, err
 
 
+DEFAULT_OPTIONS_JSON = {
+    "exclude_full_code": True,
+    "exclude_zero_code": True,
+    "report_index_n": True,
+}
+
+
 def test_enumerate_human(capsys):
     code, out, err = run(
         capsys, "enumerate", "--q", "2", "--n", "6", "--zeros", "1,3"
@@ -138,7 +145,13 @@ def test_closed_form_json(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["engine"] == "closed-form"
-    assert {"index": 9, "count": "9"} in record["table"]
+    assert record["options"] == DEFAULT_OPTIONS_JSON
+    assert record["table"] == [
+        {"index": 1, "count": "0"},
+        {"index": 9, "count": "9"},
+        {"index": 21, "count": "42"},
+    ]
+    assert record["index_N_count"] == "2772"
 
 
 def test_closed_form_rejects_excluded_parameters(capsys):
@@ -189,6 +202,14 @@ def test_verify_json(capsys):
     assert record["histogram_match"] is True
     assert record["distinct_codes"] == 36
     assert record["measured"]["engine"] == "oracle"
+    for side in ("measured", "symbolic"):
+        assert record[side]["options"] == DEFAULT_OPTIONS_JSON
+        assert record[side]["table"] == [
+            {"index": 1, "count": "2"},
+            {"index": 2, "count": "8"},
+            {"index": 4, "count": "24"},
+        ]
+        assert record[side]["index_N_count"] == "0"
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
