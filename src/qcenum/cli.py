@@ -20,11 +20,10 @@ from .index_calc import contribution_matrix, index_set
 from .numth import CodeSpec, InvalidParameterError, factorize, prime_power_base, validate_spec
 from .oracle import (
     effective_cap,
-    measured_histogram,
     oracle_field,
-    verify_distinctness,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
+    walk_subcodes,
 )
 
 EXIT_OK = 0
@@ -177,13 +176,12 @@ def cmd_verify(args) -> int:
     field = oracle_field(spec, args.cap)
     # first, so that an unusable sample count is rejected before the long runs
     shift = verify_shift_lemma(spec, samples=args.samples, cap=args.cap, field=field)
-    measured = measured_histogram(spec, cap=args.cap, field=field)
+    measured, distinct = walk_subcodes(spec, cap=args.cap, field=field)
     symbolic = multiplicity_table(spec)
     histogram_ok = (
         measured.entries == symbolic.entries
         and measured.index_n_count == symbolic.index_n_count
     )
-    distinct = verify_distinctness(spec, cap=args.cap, field=field)
     nondegen = verify_trace_nondegeneracy(spec, cap=args.cap, field=field)
     ok = histogram_ok and distinct.ok and nondegen.ok and shift.ok
     if args.format == "json":

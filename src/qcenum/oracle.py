@@ -5,25 +5,32 @@ their true shift indices by shifting generator rows, and tallies every
 subspace tuple per index; enumeration.tabulate applies the counting
 conventions to that tally, as it does to the symbolic fold.  The data are
 plain tuples: a subspace is the tuple of its RREF basis elements, () the zero
-space, and a subcode is the tuple of its RREF generator rows.  The trace form
-is evaluated in one place, _trace_word: subcode rows, the shift check and the
-nondegeneracy check (a coefficient tuple annihilates when its code_word is
-zero) all read words built by it, and the two sampled checks draw their
-coefficient tuples from one pool, _coefficient_tuples.
+space, and a subcode is the tuple of its RREF generator rows.  A row is a
+word of length N = q^n - 1: for q = 2 an int with bit k at word position k,
+reduced by XOR and shifted by a masked rotate; for odd q a tuple of digits.
+_reduce and _rref are the one row-space helper pair for both formats.  The
+trace form is evaluated in one place, _trace_word: the field's trace-word
+table (_trace_words, each word built once per field) gives the subcode rows,
+and code_word gives the words of the shift check and the nondegeneracy check
+(a coefficient tuple annihilates when its code_word is zero).  The two
+sampled checks draw their coefficient tuples from one pool,
+_coefficient_tuples.
 
 Everything here is exhaustive, so runs are bounded twice.  The cap bounds the
-field size q^n: the four checks (measured_histogram, verify_distinctness,
-verify_trace_nondegeneracy, verify_shift_lemma) either build F_{q^n} under the
-cap or take a caller's field, which must be F_{q^n} and within the cap; the
-cap is tested there and nowhere else.  The default cap keeps fields at desk
-scale; raise it per call or via the QCENUM_ORACLE_CAP environment variable.
-WALK_LIMIT bounds the work: there are subspace_total(n, q) subspaces and
-(that + 1)^s subspace tuples, and the histogram and distinctness walks refuse
-more than WALK_LIMIT tuples before they enumerate a subspace, whatever the cap.
+field size q^n: the checks (measured_histogram, verify_distinctness,
+walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) either build
+F_{q^n} under the cap or take a caller's field, which must be F_{q^n} and
+within the cap; the cap is tested there and nowhere else.  The default cap
+keeps fields at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
+environment variable.  The walk limit bounds the work: there are
+subspace_total(n, q) subspaces and (that + 1)^s subspace tuples, and a walk
+refuses more than WALK_LIMIT tuples at q = 2, or ODD_WALK_LIMIT at odd q,
+before it enumerates a subspace, whatever the cap.
 """
 
 import os
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, product
 
 from .counting import subspace_total
@@ -37,7 +44,12 @@ SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
-WALK_LIMIT = 1 << 20  # most subspace tuples one histogram or distinctness walk visits
+# most subspace tuples one walk visits, by row format.  On a 2-vCPU host
+# packed F_2 rows walk about 36,000 tuples/s at N = 255, so 2^20 take about
+# 30 s; digit rows walk 1,000-5,000 tuples/s and keep up to 7 kB per subcode
+# for the distinctness check, so 2^16 take at most about a minute.
+WALK_LIMIT = 1 << 20
+ODD_WALK_LIMIT = 1 << 16
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -83,14 +95,24 @@ def _resolve_field(spec: CodeSpec, cap: int | None, field: ExtField | None) -> E
     return field
 
 
-# -- linear algebra over F_p on coordinate tuples ---------------------------
+# -- rows: words of length N over F_p -----------------------------------------
+#
+# For p = 2 a row is an int with bit k at word position k, and reduction is
+# XOR; for odd p a row is a tuple of digits.  A row's lead is its first
+# nonzero position, the lowest set bit when packed.  Pivot rows are keyed by
+# their lead: by the lead bit itself when packed, by its position otherwise.
 
 
-def _reduce(p: int, pivots: dict[int, tuple[int, ...]], row):
+def _reduce(p: int, pivots: dict, row):
     """Reduce a row against RREF pivot rows; the result has no pivot column set.
 
     The row comes back unchanged, not copied, when no pivot column is set.
     """
+    if p == 2:
+        for lead, prow in pivots.items():
+            if row & lead:
+                row ^= prow
+        return row
     for c, prow in pivots.items():
         f = row[c]
         if f:
@@ -98,22 +120,34 @@ def _reduce(p: int, pivots: dict[int, tuple[int, ...]], row):
     return row
 
 
-def _rref(p: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Canonical reduced row-echelon basis of the span of rows, pivots ascending."""
-    pivots: dict[int, list[int]] = {}
+def _rref(p: int, rows) -> tuple:
+    """Canonical reduced row-echelon basis of the span of rows, leads ascending.
+
+    Each new pivot row is reduced against the earlier ones, which are then
+    cleared at its lead, so the pivot rows stay reduced throughout.
+    """
+    pivots: dict = {}
     for row in rows:
         row = _reduce(p, pivots, row)
-        lead = next((idx for idx, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        pivots[lead] = [v * inv % p for v in row]
-    # a pivot row is zero left of its lead, so clearing it against the
-    # already cleared rows with larger leads leaves every pivot column a unit
-    cleared: dict[int, list[int]] = {}
-    for c in sorted(pivots, reverse=True):
-        cleared[c] = _reduce(p, cleared, pivots[c])
-    return tuple(tuple(cleared[c]) for c in sorted(cleared))
+        if p == 2:
+            if not row:
+                continue
+            lead = row & -row
+            for c, prow in pivots.items():
+                if prow & lead:
+                    pivots[c] = prow ^ row
+        else:
+            lead = next((idx for idx, v in enumerate(row) if v), None)
+            if lead is None:
+                continue
+            inv = pow(row[lead], -1, p)
+            row = [v * inv % p for v in row]
+            for c, prow in pivots.items():
+                f = prow[lead]
+                if f:
+                    pivots[c] = [(a - f * b) % p for a, b in zip(prow, row)]
+        pivots[lead] = row
+    return tuple(pivots[c] if p == 2 else tuple(pivots[c]) for c in sorted(pivots))
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -149,42 +183,67 @@ def enumerate_subspaces(field: ExtField):
 # -- trace-representation codes ----------------------------------------------
 
 
-def _trace_word(field: ExtField, exponent: int, coeff: int, N: int) -> tuple[int, ...]:
-    """The length-N word k -> trace(coeff * alpha^(k * exponent))."""
+def _trace_word(field: ExtField, exponent: int, coeff: int) -> tuple[int, ...]:
+    """The word k -> trace(coeff * alpha^(k * exponent)) of length N = field.order."""
+    N = field.order
     if coeff == 0:
         return (0,) * N
     exp_table, log_table, trace_table = field.exp, field.log, field.traces
     e = log_table[coeff]
-    step = exponent % field.order
+    step = exponent % N
     out = []
     for _ in range(N):
         out.append(trace_table[exp_table[e]])
         e += step
-        if e >= field.order:
-            e -= field.order
+        if e >= N:
+            e -= N
     return tuple(out)
 
 
+class _TraceWords(dict):
+    """One field's trace words as rows, keyed (exponent, coeff); _trace_word
+    builds each on first use."""
+
+    def __init__(self, field: ExtField):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, key):
+        word = _trace_word(self.field, *key)
+        if self.field.p == 2:
+            word = sum(1 << k for k, bit in enumerate(word) if bit)
+        self[key] = word
+        return word
+
+
+@lru_cache(maxsize=1)
+def _trace_words(field: ExtField) -> _TraceWords:
+    """The trace-word table of the last field asked for: a walk over one
+    field evaluates each word once."""
+    return _TraceWords(field)
+
+
 def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
-    """The single codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j]))."""
-    N = field.order
+    """The single codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])), as digits."""
     p = field.p
-    total = [0] * N
+    total = [0] * field.order
+    # built afresh, not read from the trace-word table: a sampled check on a
+    # large field would fill the table with words it uses once
     for i, b in zip(zeros, coeffs):
-        word = _trace_word(field, i, b, N)
+        word = _trace_word(field, i, b)
         total = [(a + w) % p for a, w in zip(total, word)]
     return tuple(total)
 
 
-def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple[tuple[int, ...], ...]:
+def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple:
     """RREF rows of the span of the trace words of every basis element of
-    spaces[j] at zero j."""
-    rows = [
-        _trace_word(field, i, b, spec.N)
-        for i, basis in zip(spec.zeros, spaces)
-        for b in basis
-    ]
-    return _rref(spec.q, rows)
+    spaces[j] at zero j: packed ints for q = 2, digit tuples for odd q.
+
+    The words come from the field's trace-word table; the rows are reduced
+    afresh on every call.
+    """
+    words = _trace_words(field)
+    return _rref(spec.q, [words[i, b] for i, basis in zip(spec.zeros, spaces) for b in basis])
 
 
 def qc_index(spec: CodeSpec, rows) -> int:
@@ -192,33 +251,73 @@ def qc_index(spec: CodeSpec, rows) -> int:
     rows into itself.
 
     The invariance shifts form a subgroup of Z/N, so the answer is a divisor
-    of N and checking shift-closure of a generating set suffices.
+    of N and checking shift-closure of a generating set suffices.  Each row
+    is shifted literally, word position k moving to k + ell mod N: for q = 2
+    as the masked rotate of its packed int, for odd q by rotating its digits.
+    A shifted row lies in the code when it reduces to zero against the rows.
     """
     if not rows:
         raise InvalidParameterError("the zero code has no shift index")
-    # an RREF row is zero left of its lead entry, which is 1: its first 1 is the pivot
-    pivots = {row.index(1): row for row in rows}
-    for ell in divisors_of(spec.N):
-        if all(not any(_reduce(spec.q, pivots, row[-ell:] + row[:-ell])) for row in rows):
-            return ell
+    q, N = spec.q, spec.N
+    if q == 2:
+        mask = (1 << N) - 1
+        pivots = {row & -row: row for row in rows}
+        for ell in divisors_of(N):
+            for row in rows:
+                if _reduce(2, pivots, ((row << ell) | (row >> (N - ell))) & mask):
+                    break
+            else:
+                return ell
+    else:
+        # an RREF row is zero left of its lead entry, which is 1
+        pivots = {row.index(1): row for row in rows}
+        for ell in divisors_of(N):
+            for row in rows:
+                if any(_reduce(q, pivots, row[-ell:] + row[:-ell])):
+                    break
+            else:
+                return ell
     raise AssertionError("unreachable: the N-shift is the identity")
 
 
 def _subcodes(field: ExtField, spec: CodeSpec):
     """Every tuple of subspaces, the zero space included, with its subcode.
 
-    A walk over more than WALK_LIMIT tuples is refused before any subspace is
-    enumerated.
+    A walk over more than WALK_LIMIT tuples (ODD_WALK_LIMIT at odd q) is
+    refused before any subspace is enumerated.
     """
+    limit = WALK_LIMIT if spec.q == 2 else ODD_WALK_LIMIT
     tuples = (subspace_total(spec.n, spec.q) + 1) ** spec.s
-    if tuples > WALK_LIMIT:
+    if tuples > limit:
         raise CapExceededError(
             f"(subspace_total(n, q) + 1)^s = {tuples} subspace tuples "
-            f"exceed the walk limit {WALK_LIMIT}"
+            f"exceed the walk limit {limit}"
         )
     choices = [()] + list(enumerate_subspaces(field))
     for spaces in product(choices, repeat=spec.s):
         yield spaces, build_subcode(field, spec, spaces)
+
+
+def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None):
+    """One pass over _subcodes.  Tallies each tuple's index into tally and
+    keys seen on each subcode's rows, each when given; returns the tuple
+    count and the colliding pairs of tuples."""
+    collisions = []
+    total = 0
+    for spaces, rows in _subcodes(field, spec):
+        total += 1
+        if tally is not None:
+            # the zero tuple is read from the spaces, not the rows: taking the
+            # rows would assume the distinctness and nondegeneracy this oracle
+            # checks; the zero code is fixed by every shift
+            ell = 1 if not any(spaces) else qc_index(spec, rows)
+            tally[ell] = tally.get(ell, 0) + 1
+        if seen is not None:
+            if rows in seen:
+                collisions.append((seen[rows], spaces))
+            else:
+                seen[rows] = spaces
+    return total, tuple(collisions)
 
 
 def measured_histogram(
@@ -235,12 +334,7 @@ def measured_histogram(
     """
     field = _resolve_field(spec, cap, field)
     tally: dict[int, int] = {}
-    for spaces, rows in _subcodes(field, spec):
-        # the zero tuple is read from the spaces, not the rows: taking the
-        # rows would assume the distinctness and nondegeneracy this oracle
-        # checks; the zero code is fixed by every shift
-        ell = 1 if not any(spaces) else qc_index(spec, rows)
-        tally[ell] = tally.get(ell, 0) + 1
+    _walk(field, spec, tally, None)
     return tabulate(spec, tally, options)
 
 
@@ -263,17 +357,22 @@ def verify_distinctness(
     """Check that distinct subspace tuples give distinct subcodes (as row spaces)."""
     field = _resolve_field(spec, cap, field)
     seen: dict[tuple, tuple] = {}
-    collisions = []
-    total = 0
-    for spaces, rows in _subcodes(field, spec):
-        total += 1
-        if rows in seen:
-            collisions.append((seen[rows], spaces))
-        else:
-            seen[rows] = spaces
-    return DistinctnessReport(
-        total_tuples=total, distinct_codes=len(seen), collisions=tuple(collisions)
-    )
+    total, collisions = _walk(field, spec, None, seen)
+    return DistinctnessReport(total, len(seen), collisions)
+
+
+def walk_subcodes(
+    spec: CodeSpec,
+    options: EnumerationOptions = DEFAULT_OPTIONS,
+    cap: int | None = None,
+    field: ExtField | None = None,
+) -> tuple[IndexTable, DistinctnessReport]:
+    """measured_histogram and verify_distinctness from one walk over the tuples."""
+    field = _resolve_field(spec, cap, field)
+    tally: dict[int, int] = {}
+    seen: dict[tuple, tuple] = {}
+    total, collisions = _walk(field, spec, tally, seen)
+    return tabulate(spec, tally, options), DistinctnessReport(total, len(seen), collisions)
 
 
 class NondegeneracyReport(namedtuple("NondegeneracyReport", "checked annihilators exhaustive")):

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: field coordinates and the
-element with given coordinates, subfields, primitive elements, subspace spans
-and fields of scalars, Gaussian binomials, the pairwise lcm fold, trace
+element with given coordinates, subfields, primitive elements, row reduction
+over digit lists, subspace spans and fields of scalars, subcodes and their
+shift index on digit tuples, Gaussian binomials, the pairwise lcm fold, trace
 annihilators and the tuple total.
 
 pytest does not collect this module (its name has no test_ prefix); test
@@ -16,7 +17,7 @@ from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
 from qcenum.index_calc import ContributionMatrix, subfield_index
 from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
-from qcenum.oracle import _reduce, _rref, code_word, enumerate_subspaces
+from qcenum.oracle import code_word, enumerate_subspaces
 
 # -- the field ------------------------------------------------------------------
 
@@ -56,6 +57,39 @@ def subfield(field: ExtField, d: int) -> frozenset[int]:
     return frozenset(x for x in range(field.size) if x == 0 or field.pow(x, step) == x)
 
 
+# -- rows as digit lists --------------------------------------------------------
+
+
+def reduce_digits(p: int, pivots: dict[int, tuple[int, ...]], row):
+    """Reduce a digit row against RREF pivot rows keyed by pivot column."""
+    for c, prow in pivots.items():
+        f = row[c]
+        if f:
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+    return row
+
+
+def rref_digits(p: int, rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical reduced row-echelon basis of the span of digit rows, pivots ascending."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = reduce_digits(p, pivots, row)
+        lead = next((idx for idx, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        pivots[lead] = [v * inv % p for v in row]
+    cleared: dict[int, list[int]] = {}
+    for c in sorted(pivots, reverse=True):
+        cleared[c] = reduce_digits(p, cleared, pivots[c])
+    return tuple(tuple(cleared[c]) for c in sorted(cleared))
+
+
+def unpacked(row: int, N: int) -> tuple[int, ...]:
+    """The digit tuple of a packed F_2 row: digit k is bit k."""
+    return tuple(row >> k & 1 for k in range(N))
+
+
 # -- subspaces ------------------------------------------------------------------
 
 
@@ -74,7 +108,7 @@ def elements(field: ExtField, basis) -> set[int]:
 
 def subspace_spanned(field: ExtField, spanning) -> tuple[int, ...]:
     """The canonical basis of the subspace generated by arbitrary elements."""
-    rows = _rref(field.p, [coeffs(field, x) for x in spanning])
+    rows = rref_digits(field.p, [coeffs(field, x) for x in spanning])
     return tuple(from_coeffs(field, r) for r in rows)
 
 
@@ -92,7 +126,8 @@ def maximal_field_of(field: ExtField, basis) -> int:
     for d in sorted(divisors_of(field.m), reverse=True):
         g = subfield_generator(field, d)
         if all(
-            not any(_reduce(field.p, pivots, coeffs(field, field.mul(g, b)))) for b in basis
+            not any(reduce_digits(field.p, pivots, coeffs(field, field.mul(g, b))))
+            for b in basis
         ):
             return d
     raise AssertionError("unreachable: d = 1 always closes")
@@ -149,6 +184,23 @@ def pairwise_lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> di
 
 
 # -- codes ----------------------------------------------------------------------
+
+
+def digit_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple[tuple[int, ...], ...]:
+    """RREF digit rows of the span of the codewords of every basis element of
+    spaces[j] at zero j."""
+    words = [code_word(field, [i], [b]) for i, basis in zip(spec.zeros, spaces) for b in basis]
+    return rref_digits(spec.q, words)
+
+
+def digit_qc_index(spec: CodeSpec, rows) -> int:
+    """Smallest ell whose ell-fold shift, digit k moving to k + ell mod N,
+    maps the code with RREF digit rows into itself."""
+    pivots = {row.index(1): row for row in rows}
+    for ell in divisors_of(spec.N):
+        if all(not any(reduce_digits(spec.q, pivots, row[-ell:] + row[:-ell])) for row in rows):
+            return ell
+    raise AssertionError("unreachable: the N-shift is the identity")
 
 
 def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:

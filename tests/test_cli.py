@@ -213,16 +213,19 @@ def test_verify_json(capsys):
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
-    def fake_measured(spec, options=None, cap=None, field=None):
+    walk = cli.walk_subcodes
+
+    def fake_walk(spec, options=None, cap=None, field=None):
         real = cli.multiplicity_table(spec)
         entries = dict(real.entries)
         entries[5] = entries.get(5, 0) + 1
-        return IndexTable(
+        measured = IndexTable(
             spec=spec, entries=entries, index_n_count=real.index_n_count,
             options=real.options,
         )
+        return measured, walk(spec, cap=cap, field=field)[1]
 
-    monkeypatch.setattr(cli, "measured_histogram", fake_measured)
+    monkeypatch.setattr(cli, "walk_subcodes", fake_walk)
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--zeros", "1")
     assert code == 3
     assert "histogram match: FAIL" in out

@@ -14,6 +14,7 @@ from qcenum.numth import InvalidParameterError, validate_spec
 from qcenum.oracle import (
     DEFAULT_ORACLE_CAP,
     ENV_CAP,
+    ODD_WALK_LIMIT,
     WALK_LIMIT,
     build_subcode,
     code_word,
@@ -25,9 +26,12 @@ from qcenum.oracle import (
     verify_distinctness,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
+    walk_subcodes,
 )
 from reference import (
     classify_all_subspaces,
+    digit_qc_index,
+    digit_subcode,
     elements,
     grand_total,
     maximal_field_of,
@@ -35,6 +39,7 @@ from reference import (
     subfield,
     subspace_spanned,
     trace_annihilators,
+    unpacked,
     with_alpha,
 )
 
@@ -134,6 +139,49 @@ def test_subcode_dimension_is_sum_of_space_dimensions():
         assert len(rows) == sum(len(basis) for basis in tup)
 
 
+@pytest.mark.parametrize(
+    "q, n, zeros, samples",
+    # every tuple of the small specs, a seeded sample of the larger ones
+    [
+        (2, 4, [1], None),
+        (2, 3, [1, 3], None),
+        (2, 5, [1], None),
+        (2, 6, [1], 300),
+        (2, 4, [1, 3], 300),
+        (3, 3, [1, 2], 300),
+    ],
+)
+def test_rows_match_the_digit_reference(q, n, zeros, samples):
+    # packed F_2 rows reduced by XOR and shifted by a masked rotate, and odd-q
+    # digit rows, give the subcode and index that digit lists reduced and
+    # rotated literally give
+    spec = validate_spec(q, n, zeros)
+    field = oracle_field(spec)
+    tuples = list(product([()] + list(enumerate_subspaces(field)), repeat=spec.s))
+    if samples is not None:
+        tuples = random.Random(11).sample(tuples, samples)
+    for spaces in tuples:
+        rows = build_subcode(field, spec, spaces)
+        if q == 2:
+            assert all(isinstance(row, int) for row in rows)
+            rows_as_digits = tuple(unpacked(row, spec.N) for row in rows)
+        else:
+            rows_as_digits = rows
+        digits = digit_subcode(field, spec, spaces)
+        assert rows_as_digits == digits, spaces
+        if any(spaces):
+            assert qc_index(spec, rows) == digit_qc_index(spec, digits), spaces
+
+
+@pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 2, [1, 2]), (3, 3, [1])])
+def test_one_walk_gives_both_checks(q, n, zeros):
+    spec = validate_spec(q, n, zeros)
+    measured, distinct = walk_subcodes(spec)
+    assert measured == measured_histogram(spec)
+    assert distinct == verify_distinctness(spec)
+    assert distinct.ok and distinct.total_tuples == grand_total(spec)
+
+
 def test_simplex_words_have_weight_eight():
     # every nonzero codeword of the length-15 simplex code has weight 8
     spec = validate_spec(2, 4, [1])
@@ -169,6 +217,7 @@ MEASURED_SPECS = [
     (3, 2, [1]),
     (3, 2, [1, 2]),
     (2, 4, [1, 3]),
+    (2, 7, [1]),
 ]
 
 
@@ -217,8 +266,13 @@ def test_distinctness_counts():
 @pytest.mark.parametrize("walk", [measured_histogram, verify_distinctness])
 @pytest.mark.parametrize(
     "q, n, zeros, cap, tuples",
-    # under the cap on q^n, over the walk limit; a raised cap does not help
-    [(2, 6, [1, 3], None, 7980625), (2, 9, [1], 512, 8283458)],
+    # under the cap on q^n, over the walk limit; a raised cap does not help;
+    # digit rows at odd q have the lower limit
+    [
+        (2, 6, [1, 3], None, 7980625),
+        (2, 9, [1], 512, 8283458),
+        (7, 2, [1, 2, 3, 4, 5], None, 100000),
+    ],
 )
 def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples, monkeypatch):
     monkeypatch.delenv(ENV_CAP, raising=False)
@@ -232,11 +286,14 @@ def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples,
         walk(validate_spec(q, n, zeros), cap=cap)
 
 
-@pytest.mark.parametrize("q, n, zeros, tuples", [(2, 8, [1], 417199), (2, 4, [1, 3, 7], 300763)])
+@pytest.mark.parametrize(
+    "q, n, zeros, tuples",
+    [(2, 8, [1], 417199), (2, 4, [1, 3, 7], 300763), (13, 2, [1, 2, 3, 4], 65536)],
+)
 def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
     monkeypatch.delenv(ENV_CAP, raising=False)
     spec = validate_spec(q, n, zeros)
-    assert grand_total(spec) == tuples <= WALK_LIMIT
+    assert grand_total(spec) == tuples <= (WALK_LIMIT if q == 2 else ODD_WALK_LIMIT)
     # with no subspaces to yield, the admitted walk visits the zero tuple alone
     monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
     report = verify_distinctness(spec)
