@@ -9,10 +9,10 @@ space, and a subcode is the tuple of its RREF generator rows.  A row is a
 word of length N = q^n - 1: for q = 2 an int with bit k at word position k,
 reduced by XOR and shifted by a masked rotate; for odd q a tuple of digits.
 _reduce and _rref are the one row-space helper pair for both formats.  The
-trace form is evaluated in one place, _trace_word: the field's trace-word
-table (_trace_words, each word built once per field) gives the subcode rows,
-and code_word gives the words of the shift check and the nondegeneracy check
-(a coefficient tuple annihilates when its code_word is zero).  The two
+trace form is evaluated in one place, _trace_word: _trace_row caches each
+word as a row, so a walk over one field builds each word once, and code_word
+gives the words of the shift check and the nondegeneracy check (a
+coefficient tuple annihilates when its code_word is zero).  The two
 sampled checks draw their coefficient tuples from one pool,
 _coefficient_tuples.
 
@@ -44,10 +44,14 @@ SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
-# most subspace tuples one walk visits, by row format.  On a 2-vCPU host
-# packed F_2 rows walk about 36,000 tuples/s at N = 255, so 2^20 take about
-# 30 s; digit rows walk 1,000-5,000 tuples/s and keep up to 7 kB per subcode
-# for the distinctness check, so 2^16 take at most about a minute.
+# most subspace tuples one walk visits, by row format; each limit stands for
+# a budget of about a minute and a few hundred MB at the slowest rate its
+# format has within the default cap.  On a 2-vCPU host packed F_2 rows walk
+# about 36,000 tuples/s at N = 255, so 2^20 take about 30 s.  Digit rows walk
+# 1,000-5,000 tuples/s, depending on q, n and s, and keep up to 7 kB per
+# subcode for the distinctness check, so 2^16 take at most about a minute;
+# being a count of tuples, the odd limit also refuses walks that would fit
+# the budget at a faster rate.
 WALK_LIMIT = 1 << 20
 ODD_WALK_LIMIT = 1 << 16
 
@@ -118,6 +122,26 @@ def _reduce(p: int, pivots: dict, row):
         if f:
             row = [(a - f * b) % p for a, b in zip(row, prow)]
     return row
+
+
+def _lead_key(p: int, row):
+    """The key of an RREF row among pivot rows: its lead bit when packed,
+    else its lead position (an RREF row is zero left of its lead, which is 1)."""
+    return row & -row if p == 2 else row.index(1)
+
+
+def _in_span(p: int, pivots: dict, row) -> bool:
+    """Whether the row lies in the span of the RREF pivot rows."""
+    reduced = _reduce(p, pivots, row)
+    return not reduced if p == 2 else not any(reduced)
+
+
+def _shift(p: int, N: int, row, ell: int):
+    """The row shifted literally by ell places, word position k moving to
+    k + ell mod N: a masked rotate when packed, a digit rotate otherwise."""
+    if p == 2:
+        return ((row << ell) | (row >> (N - ell))) & ((1 << N) - 1)
+    return row[-ell:] + row[:-ell]
 
 
 def _rref(p: int, rows) -> tuple:
@@ -200,35 +224,23 @@ def _trace_word(field: ExtField, exponent: int, coeff: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _TraceWords(dict):
-    """One field's trace words as rows, keyed (exponent, coeff); _trace_word
-    builds each on first use."""
-
-    def __init__(self, field: ExtField):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, key):
-        word = _trace_word(self.field, *key)
-        if self.field.p == 2:
-            word = sum(1 << k for k, bit in enumerate(word) if bit)
-        self[key] = word
-        return word
-
-
-@lru_cache(maxsize=1)
-def _trace_words(field: ExtField) -> _TraceWords:
-    """The trace-word table of the last field asked for: a walk over one
-    field evaluates each word once."""
-    return _TraceWords(field)
+# more than the distinct words of any walk the default cap and the walk limit
+# admit: at most 676, at (13, 2, [1, 2, 3, 4])
+@lru_cache(maxsize=1024)
+def _trace_row(field: ExtField, exponent: int, coeff: int):
+    """The trace word of (exponent, coeff) as a row: packed for p = 2."""
+    word = _trace_word(field, exponent, coeff)
+    if field.p == 2:
+        return sum(1 << k for k, bit in enumerate(word) if bit)
+    return word
 
 
 def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
     """The single codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])), as digits."""
     p = field.p
     total = [0] * field.order
-    # built afresh, not read from the trace-word table: a sampled check on a
-    # large field would fill the table with words it uses once
+    # built afresh, not read through _trace_row: a sampled check on a large
+    # field would fill its cache with words it uses once
     for i, b in zip(zeros, coeffs):
         word = _trace_word(field, i, b)
         total = [(a + w) % p for a, w in zip(total, word)]
@@ -239,11 +251,12 @@ def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple:
     """RREF rows of the span of the trace words of every basis element of
     spaces[j] at zero j: packed ints for q = 2, digit tuples for odd q.
 
-    The words come from the field's trace-word table; the rows are reduced
-    afresh on every call.
+    The words come through _trace_row's cache; the rows are reduced afresh
+    on every call.
     """
-    words = _trace_words(field)
-    return _rref(spec.q, [words[i, b] for i, basis in zip(spec.zeros, spaces) for b in basis])
+    return _rref(
+        spec.q, [_trace_row(field, i, b) for i, basis in zip(spec.zeros, spaces) for b in basis]
+    )
 
 
 def qc_index(spec: CodeSpec, rows) -> int:
@@ -252,31 +265,21 @@ def qc_index(spec: CodeSpec, rows) -> int:
 
     The invariance shifts form a subgroup of Z/N, so the answer is a divisor
     of N and checking shift-closure of a generating set suffices.  Each row
-    is shifted literally, word position k moving to k + ell mod N: for q = 2
-    as the masked rotate of its packed int, for odd q by rotating its digits.
-    A shifted row lies in the code when it reduces to zero against the rows.
+    is shifted literally by _shift, word position k moving to k + ell mod N:
+    for q = 2 as the masked rotate of its packed int, for odd q by rotating
+    its digits.  A shifted row lies in the code when it reduces to zero
+    against the rows.
     """
     if not rows:
         raise InvalidParameterError("the zero code has no shift index")
     q, N = spec.q, spec.N
-    if q == 2:
-        mask = (1 << N) - 1
-        pivots = {row & -row: row for row in rows}
-        for ell in divisors_of(N):
-            for row in rows:
-                if _reduce(2, pivots, ((row << ell) | (row >> (N - ell))) & mask):
-                    break
-            else:
-                return ell
-    else:
-        # an RREF row is zero left of its lead entry, which is 1
-        pivots = {row.index(1): row for row in rows}
-        for ell in divisors_of(N):
-            for row in rows:
-                if any(_reduce(q, pivots, row[-ell:] + row[:-ell])):
-                    break
-            else:
-                return ell
+    pivots = {_lead_key(q, row): row for row in rows}
+    for ell in divisors_of(N):
+        for row in rows:
+            if not _in_span(q, pivots, _shift(q, N, row, ell)):
+                break
+        else:
+            return ell
     raise AssertionError("unreachable: the N-shift is the identity")
 
 
@@ -362,17 +365,14 @@ def verify_distinctness(
 
 
 def walk_subcodes(
-    spec: CodeSpec,
-    options: EnumerationOptions = DEFAULT_OPTIONS,
-    cap: int | None = None,
-    field: ExtField | None = None,
+    spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> tuple[IndexTable, DistinctnessReport]:
     """measured_histogram and verify_distinctness from one walk over the tuples."""
     field = _resolve_field(spec, cap, field)
     tally: dict[int, int] = {}
     seen: dict[tuple, tuple] = {}
     total, collisions = _walk(field, spec, tally, seen)
-    return tabulate(spec, tally, options), DistinctnessReport(total, len(seen), collisions)
+    return tabulate(spec, tally), DistinctnessReport(total, len(seen), collisions)
 
 
 class NondegeneracyReport(namedtuple("NondegeneracyReport", "checked annihilators exhaustive")):

@@ -215,7 +215,7 @@ def test_verify_json(capsys):
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
     walk = cli.walk_subcodes
 
-    def fake_walk(spec, options=None, cap=None, field=None):
+    def fake_walk(spec, cap=None, field=None):
         real = cli.multiplicity_table(spec)
         entries = dict(real.entries)
         entries[5] = entries.get(5, 0) + 1
