@@ -4,17 +4,17 @@ Builds literal trace-representation subcodes over an explicit field, measures
 their true shift indices by shifting generator rows, and tallies every
 subspace tuple per index; enumeration.tabulate applies the counting
 conventions to that tally, as it does to the symbolic fold.  The data are
-plain tuples: a subspace is the tuple of its RREF basis elements, () the zero
-space, and a subcode is the tuple of its RREF generator rows.  A row is a
-word of length N = q^n - 1: for q = 2 an int with bit k at word position k,
-reduced by XOR and shifted by a masked rotate; for odd q a tuple of digits.
-_reduce and _rref are the one row-space helper pair for both formats.  The
-trace form is evaluated in one place, _trace_word: _trace_row caches each
-word as a row, so a walk over one field builds each word once, and code_word
-gives the words of the shift check and the nondegeneracy check (a
-coefficient tuple annihilates when its code_word is zero).  The two
-sampled checks draw their coefficient tuples from one pool,
-_coefficient_tuples.
+plain tuples of ints: a subspace is the tuple of its RREF basis elements, ()
+the zero space, and a subcode is the tuple of its RREF generator rows.  A row
+is a word of length N = q^n - 1 packed into an int, one lane per digit: bit k
+for q = 2, reduced by XOR; byte k for odd q, reduced lane-parallel by bignum
+arithmetic and a bytes.translate through a mod-q table.  It is shifted by a
+masked rotate.  _reduce and _rref are the one row-space helper pair.  The
+trace form is evaluated in one place, _trace_row, which caches each word as a
+row, so a walk over one field builds each word once; the shift check and the
+nondegeneracy check sum those rows (a coefficient tuple annihilates when its
+row is zero).  The two sampled checks draw their coefficient tuples from one
+pool, _coefficient_tuples.
 
 Everything here is exhaustive, so runs are bounded twice.  The cap bounds the
 field size q^n: the checks (measured_histogram, verify_distinctness,
@@ -36,7 +36,7 @@ from itertools import combinations, product
 from .counting import subspace_total
 from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable, tabulate
 from .gf import CapExceededError, ExtField, build_field
-from .numth import CodeSpec, InvalidParameterError, divisors_of, is_prime
+from .numth import CodeSpec, InvalidParameterError, factorize, is_prime
 
 DEFAULT_ORACLE_CAP = 256
 ENV_CAP = "QCENUM_ORACLE_CAP"
@@ -44,16 +44,17 @@ SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
-# most subspace tuples one walk visits, by row format; each limit stands for
-# a budget of about a minute and a few hundred MB at the slowest rate its
-# format has within the default cap.  On a 2-vCPU host packed F_2 rows walk
-# about 36,000 tuples/s at N = 255, so 2^20 take about 30 s.  Digit rows walk
-# 1,000-5,000 tuples/s, depending on q, n and s, and keep up to 7 kB per
-# subcode for the distinctness check, so 2^16 take at most about a minute;
-# being a count of tuples, the odd limit also refuses walks that would fit
-# the budget at a faster rate.
+# most subspace tuples one walk visits, by lane width; each limit stands for
+# at most about a minute and a few hundred MB within the default cap.  On a
+# 2-vCPU host bit-lane rows (q = 2) walk about 70,000 tuples/s at N = 255, so
+# 2^20 take about 15 s; byte-lane rows (odd q) walk 20,000-35,000 tuples/s
+# at q <= 7 and s <= 4, and 10,000 at (13, 2, [1, 2, 3, 4]), N = 168, whose
+# 2^16 tuples take about 7 s and peak at 80 MB.  Being a count of tuples, the
+# odd limit also refuses walks that would fit the budget, such as
+# (7, 2, [1, 2, 3, 4, 5]) at about 8 s.
 WALK_LIMIT = 1 << 20
 ODD_WALK_LIMIT = 1 << 16
+MAX_LANE_PRIME = 127  # largest odd p whose lane sums, below 2(p - 1), fit a byte
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -69,10 +70,17 @@ def effective_cap(cap: int | None = None) -> int:
     return DEFAULT_ORACLE_CAP
 
 
-def _check_cap(q: int, n: int, cap: int | None) -> int:
+def _check_bounds(q: int, n: int, cap: int | None) -> int:
+    """The effective cap, once q^n is shown to be within it and q within a
+    byte lane."""
     limit = effective_cap(cap)
     if q**n > limit:
         raise CapExceededError(f"q^n = {q**n} exceeds the oracle cap {limit}")
+    if q > MAX_LANE_PRIME:
+        raise InvalidParameterError(
+            f"the oracle packs digits into byte lanes, which hold q <= {MAX_LANE_PRIME} only, "
+            f"got q = {q}"
+        )
     return limit
 
 
@@ -82,7 +90,7 @@ def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
         raise InvalidParameterError(
             f"the explicit-field oracle supports prime q only, got q = {spec.q}"
         )
-    limit = _check_cap(spec.q, spec.n, cap)
+    limit = _check_bounds(spec.q, spec.n, cap)
     return build_field(spec.q, spec.n, cap=limit)
 
 
@@ -95,83 +103,102 @@ def _resolve_field(spec: CodeSpec, cap: int | None, field: ExtField | None) -> E
         raise InvalidParameterError(
             f"field F_{field.p}^{field.m} is not F_{spec.q}^{spec.n} of the spec"
         )
-    _check_cap(field.p, field.m, cap)
+    _check_bounds(field.p, field.m, cap)
     return field
 
 
-# -- rows: words of length N over F_p -----------------------------------------
+# -- rows: words of length N over F_p, packed into ints ------------------------
 #
-# For p = 2 a row is an int with bit k at word position k, and reduction is
-# XOR; for odd p a row is a tuple of digits.  A row's lead is its first
-# nonzero position, the lowest set bit when packed.  Pivot rows are keyed by
-# their lead: by the lead bit itself when packed, by its position otherwise.
+# Digit k of a row sits in lane k of an int: bit k for p = 2, reduced by XOR;
+# byte k, little-endian, for odd p, where all digits are reduced together by
+# bignum arithmetic and one bytes.translate through a mod-p table.  A sum is
+# translated before any lane reaches 256: row + (p - f) * prow stays below
+# p(p - 1), which is under 256 up to p = 13; from p = 17 up to MAX_LANE_PRIME
+# prow is first translated through the table of multiplication by p - f, so
+# the sum stays below 2(p - 1).  A row's lead is its lowest nonzero lane, and
+# pivot rows are keyed by their lead: the lead bit itself for p = 2, the lead
+# lane's bit offset 8c for odd p.  Sorting the keys sorts the leads.
 
 
-def _reduce(p: int, pivots: dict, row):
+@lru_cache(maxsize=None)
+def _lane_tables(p: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """For odd p, the byte-lane tables x -> x mod p and, for each c < p,
+    x -> c * x mod p."""
+    mod = bytes(x % p for x in range(256))
+    return mod, tuple(bytes(c * x % p for x in range(256)) for c in range(p))
+
+
+def _translate(row: int, table: bytes) -> int:
+    """The row with every byte lane mapped through table (table[0] is 0)."""
+    lanes = row.to_bytes((row.bit_length() + 7) >> 3, "little")
+    return int.from_bytes(lanes.translate(table), "little")
+
+
+def _reduce(p: int, pivots: dict, row: int) -> int:
     """Reduce a row against RREF pivot rows; the result has no pivot column set.
 
-    The row comes back unchanged, not copied, when no pivot column is set.
+    The row comes back unchanged when no pivot column is set.
     """
     if p == 2:
         for lead, prow in pivots.items():
             if row & lead:
                 row ^= prow
         return row
-    for c, prow in pivots.items():
-        f = row[c]
+    mod, mul = _lane_tables(p)
+    for offset, prow in pivots.items():
+        f = row >> offset & 255
         if f:
-            row = [(a - f * b) % p for a, b in zip(row, prow)]
+            # row - f * prow, lane by lane, with no lane reaching 256
+            if p * (p - 1) < 256:
+                row += (p - f) * prow
+            else:
+                row += _translate(prow, mul[p - f])
+            row = _translate(row, mod)
     return row
 
 
-def _lead_key(p: int, row):
-    """The key of an RREF row among pivot rows: its lead bit when packed,
-    else its lead position (an RREF row is zero left of its lead, which is 1)."""
-    return row & -row if p == 2 else row.index(1)
+def _lead_key(p: int, row: int) -> int:
+    """The key of a nonzero row among pivot rows: its lead bit for p = 2,
+    else the bit offset of its lead lane."""
+    low = row & -row
+    return low if p == 2 else (low.bit_length() - 1) & ~7
 
 
-def _in_span(p: int, pivots: dict, row) -> bool:
-    """Whether the row lies in the span of the RREF pivot rows."""
-    reduced = _reduce(p, pivots, row)
-    return not reduced if p == 2 else not any(reduced)
-
-
-def _shift(p: int, N: int, row, ell: int):
+def _shift(p: int, N: int, row: int, ell: int) -> int:
     """The row shifted literally by ell places, word position k moving to
-    k + ell mod N: a masked rotate when packed, a digit rotate otherwise."""
-    if p == 2:
-        return ((row << ell) | (row >> (N - ell))) & ((1 << N) - 1)
-    return row[-ell:] + row[:-ell]
+    k + ell mod N: a masked rotate by ell lanes."""
+    width = 1 if p == 2 else 8
+    bits, total = width * ell, width * N
+    return ((row << bits) | (row >> (total - bits))) & ((1 << total) - 1)
 
 
 def _rref(p: int, rows) -> tuple:
     """Canonical reduced row-echelon basis of the span of rows, leads ascending.
 
-    Each new pivot row is reduced against the earlier ones, which are then
-    cleared at its lead, so the pivot rows stay reduced throughout.
+    Each new pivot row is reduced against the earlier ones and scaled to lead
+    1; the earlier ones are then reduced against it, so the pivot rows stay
+    reduced throughout.
     """
     pivots: dict = {}
     for row in rows:
         row = _reduce(p, pivots, row)
+        if not row:
+            continue
+        key = _lead_key(p, row)
         if p == 2:
-            if not row:
-                continue
-            lead = row & -row
             for c, prow in pivots.items():
-                if prow & lead:
+                if prow & key:
                     pivots[c] = prow ^ row
         else:
-            lead = next((idx for idx, v in enumerate(row) if v), None)
-            if lead is None:
-                continue
-            inv = pow(row[lead], -1, p)
-            row = [v * inv % p for v in row]
+            lead = row >> key & 255
+            if lead != 1:
+                row = _translate(row, _lane_tables(p)[1][pow(lead, -1, p)])
+            new = {key: row}
             for c, prow in pivots.items():
-                f = prow[lead]
-                if f:
-                    pivots[c] = [(a - f * b) % p for a, b in zip(prow, row)]
-        pivots[lead] = row
-    return tuple(pivots[c] if p == 2 else tuple(pivots[c]) for c in sorted(pivots))
+                if prow >> key & 255:
+                    pivots[c] = _reduce(p, new, prow)
+        pivots[key] = row
+    return tuple(row for _, row in sorted(pivots.items()))
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -207,49 +234,43 @@ def enumerate_subspaces(field: ExtField):
 # -- trace-representation codes ----------------------------------------------
 
 
-def _trace_word(field: ExtField, exponent: int, coeff: int) -> tuple[int, ...]:
-    """The word k -> trace(coeff * alpha^(k * exponent)) of length N = field.order."""
-    N = field.order
-    if coeff == 0:
-        return (0,) * N
-    exp_table, log_table, trace_table = field.exp, field.log, field.traces
-    e = log_table[coeff]
-    step = exponent % N
-    out = []
-    for _ in range(N):
-        out.append(trace_table[exp_table[e]])
-        e += step
-        if e >= N:
-            e -= N
-    return tuple(out)
-
-
 # more than the distinct words of any walk the default cap and the walk limit
 # admit: at most 676, at (13, 2, [1, 2, 3, 4])
 @lru_cache(maxsize=1024)
-def _trace_row(field: ExtField, exponent: int, coeff: int):
-    """The trace word of (exponent, coeff) as a row: packed for p = 2."""
-    word = _trace_word(field, exponent, coeff)
+def _trace_row(field: ExtField, exponent: int, coeff: int) -> int:
+    """The row of the word k -> trace(coeff * alpha^(k * exponent)), of length
+    N = field.order; the one place the trace form is evaluated."""
+    if coeff == 0:
+        return 0
+    N = field.order
+    exp_table, trace_table = field.exp, field.traces
+    e = field.log[coeff]
+    step = exponent % N
+    word = []
+    for _ in range(N):
+        word.append(trace_table[exp_table[e]])
+        e += step
+        if e >= N:
+            e -= N
     if field.p == 2:
         return sum(1 << k for k, bit in enumerate(word) if bit)
-    return word
+    return int.from_bytes(bytes(word), "little")
 
 
-def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
-    """The single codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])), as digits."""
+def _code_row(field: ExtField, zeros, coeffs) -> int:
+    """The row of the codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])):
+    the lane-wise sum of the trace rows of its terms."""
     p = field.p
-    total = [0] * field.order
-    # built afresh, not read through _trace_row: a sampled check on a large
-    # field would fill its cache with words it uses once
+    total = 0
     for i, b in zip(zeros, coeffs):
-        word = _trace_word(field, i, b)
-        total = [(a + w) % p for a, w in zip(total, word)]
-    return tuple(total)
+        row = _trace_row(field, i, b)
+        total = total ^ row if p == 2 else _translate(total + row, _lane_tables(p)[0])
+    return total
 
 
 def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple:
     """RREF rows of the span of the trace words of every basis element of
-    spaces[j] at zero j: packed ints for q = 2, digit tuples for odd q.
+    spaces[j] at zero j.
 
     The words come through _trace_row's cache; the rows are reduced afresh
     on every call.
@@ -263,24 +284,28 @@ def qc_index(spec: CodeSpec, rows) -> int:
     """Smallest ell such that the ell-fold cyclic shift maps the code with RREF
     rows into itself.
 
-    The invariance shifts form a subgroup of Z/N, so the answer is a divisor
-    of N and checking shift-closure of a generating set suffices.  Each row
-    is shifted literally by _shift, word position k moving to k + ell mod N:
-    for q = 2 as the masked rotate of its packed int, for odd q by rotating
-    its digits.  A shifted row lies in the code when it reduces to zero
+    The invariance shifts form a subgroup dZ/N of Z/N, and the answer is its
+    generator d, a divisor of N.  It is found by prime descent: start from
+    d = N and, for each prime r | N, divide d by r while the (d/r)-shift
+    still maps the code into itself, which takes at most Omega(N) + omega(N)
+    shift tests.  Checking shift-closure of a generating set suffices: each
+    row is shifted literally by _shift, word position k moving to k + ell
+    mod N, and a shifted row lies in the code when it reduces to zero
     against the rows.
     """
     if not rows:
         raise InvalidParameterError("the zero code has no shift index")
     q, N = spec.q, spec.N
     pivots = {_lead_key(q, row): row for row in rows}
-    for ell in divisors_of(N):
-        for row in rows:
-            if not _in_span(q, pivots, _shift(q, N, row, ell)):
-                break
-        else:
-            return ell
-    raise AssertionError("unreachable: the N-shift is the identity")
+
+    def closed(ell: int) -> bool:
+        return all(not _reduce(q, pivots, _shift(q, N, row, ell)) for row in rows)
+
+    d = N
+    for r, _ in factorize(N):
+        while d % r == 0 and closed(d // r):
+            d //= r
+    return d
 
 
 def _subcodes(field: ExtField, spec: CodeSpec):
@@ -413,7 +438,7 @@ def verify_trace_nondegeneracy(
     pool = list(
         _coefficient_tuples(field, spec.s, NONDEGENERACY_SAMPLE_LIMIT, NONDEGENERACY_SAMPLES)
     )
-    annihilators = sum(not any(code_word(field, spec.zeros, c)) for c in pool)
+    annihilators = sum(not _code_row(field, spec.zeros, c) for c in pool)
     return NondegeneracyReport(
         checked=len(pool),
         annihilators=annihilators,
@@ -452,10 +477,9 @@ def verify_shift_lemma(
     checked = 0
     mismatches = 0
     for coeffs in _coefficient_tuples(field, spec.s, SHIFT_SAMPLE_LIMIT, samples):
-        word = code_word(field, spec.zeros, coeffs)
-        shifted = word[-1:] + word[:-1]
+        shifted = _shift(field.p, field.order, _code_row(field, spec.zeros, coeffs), 1)
         scaled = tuple(field.mul(b, s) for b, s in zip(coeffs, scale))
-        if shifted != code_word(field, spec.zeros, scaled):
+        if shifted != _code_row(field, spec.zeros, scaled):
             mismatches += 1
         checked += 1
     assert checked == planned

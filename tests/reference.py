@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: field coordinates and the
 element with given coordinates, subfields, primitive elements, row reduction
-over digit lists, subspace spans and fields of scalars, subcodes and their
-shift index on digit tuples, Gaussian binomials, the pairwise lcm fold, trace
-annihilators and the tuple total.
+over digit lists, packing digits into the oracle's row lanes and back,
+subspace spans and fields of scalars, Gaussian binomials, the pairwise lcm
+fold, codewords evaluated point by point, subcodes and their shift index on
+digit tuples, trace annihilators and the tuple total.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -17,7 +18,7 @@ from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
 from qcenum.index_calc import ContributionMatrix, subfield_index
 from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
-from qcenum.oracle import code_word, enumerate_subspaces
+from qcenum.oracle import enumerate_subspaces
 
 # -- the field ------------------------------------------------------------------
 
@@ -85,9 +86,21 @@ def rref_digits(p: int, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cleared[c]) for c in sorted(cleared))
 
 
-def unpacked(row: int, N: int) -> tuple[int, ...]:
-    """The digit tuple of a packed F_2 row: digit k is bit k."""
-    return tuple(row >> k & 1 for k in range(N))
+def _lane_width(p: int) -> int:
+    """Bits per digit in an oracle row: 1 for p = 2, a byte for odd p."""
+    return 1 if p == 2 else 8
+
+
+def packed(digits, p: int = 2) -> int:
+    """The oracle row of a digit sequence: digit k in lane k."""
+    width = _lane_width(p)
+    return sum(d << (width * k) for k, d in enumerate(digits))
+
+
+def unpacked(row: int, N: int, p: int = 2) -> tuple[int, ...]:
+    """The digit tuple of an oracle row of length N: digit k is lane k."""
+    width = _lane_width(p)
+    return tuple(row >> (width * k) & ((1 << width) - 1) for k in range(N))
 
 
 # -- subspaces ------------------------------------------------------------------
@@ -184,6 +197,22 @@ def pairwise_lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> di
 
 
 # -- codes ----------------------------------------------------------------------
+
+
+def code_word(field: ExtField, zeros, coeffs) -> tuple[int, ...]:
+    """The codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])), as digits.
+
+    The sum is formed in the field at each point and its trace read from
+    field.traces, where the oracle sums the trace words of the terms.
+    """
+    word = []
+    for k in range(field.order):
+        x = 0
+        for i, b in zip(zeros, coeffs):
+            term = field.mul(b, field.pow(field.alpha, k * i))
+            x = field.add(x, term) if x else term
+        word.append(field.traces[x])
+    return tuple(word)
 
 
 def digit_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple[tuple[int, ...], ...]:

@@ -28,13 +28,13 @@ from qcenum.numth import (
 )
 from qcenum.oracle import (
     build_subcode,
-    code_word,
     measured_histogram,
     oracle_field,
     qc_index,
     verify_distinctness,
 )
 from reference import (
+    code_word,
     gaussian_binomial,
     primitive_elements,
     subfield,

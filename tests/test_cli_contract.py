@@ -44,6 +44,8 @@ CASES = [
     ("verify --q 7 --n 2 --zeros 1,2,3,4,5", None, 2),
     # a cap raised above the default admits the field: q^n = 289
     ("verify --q 17 --n 2 --zeros 1 --cap 300", None, 0),
+    # odd-q rows keep one digit per byte lane, which holds q <= 127 only
+    ("verify --q 131 --n 2 --zeros 1 --cap 17161", None, 2),
     ("verify --q 2 --n 4 --zeros 1", "abc", 2),
 ]
 

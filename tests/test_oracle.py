@@ -10,14 +10,13 @@ from qcenum.counting import maximal_counts, subspace_total
 from qcenum.enumeration import EnumerationOptions, multiplicity_table
 from qcenum.gf import CapExceededError, build_field
 from qcenum.index_calc import index_contribution, subfield_index
-from qcenum.numth import InvalidParameterError, validate_spec
+from qcenum.numth import InvalidParameterError, factorize, is_prime, validate_spec
 from qcenum.oracle import (
     DEFAULT_ORACLE_CAP,
     ENV_CAP,
     ODD_WALK_LIMIT,
     WALK_LIMIT,
     build_subcode,
-    code_word,
     effective_cap,
     enumerate_subspaces,
     measured_histogram,
@@ -30,12 +29,16 @@ from qcenum.oracle import (
 )
 from reference import (
     classify_all_subspaces,
+    code_word,
     digit_qc_index,
     digit_subcode,
     elements,
     grand_total,
     maximal_field_of,
+    packed,
     primitive_elements,
+    reduce_digits,
+    rref_digits,
     subfield,
     subspace_spanned,
     trace_annihilators,
@@ -141,7 +144,9 @@ def test_subcode_dimension_is_sum_of_space_dimensions():
 
 @pytest.mark.parametrize(
     "q, n, zeros, samples",
-    # every tuple of the small specs, a seeded sample of the larger ones
+    # every tuple of the small specs, a seeded sample of the larger ones; at
+    # q = 13 lane sums reach 13 * 12 before a translate, at q = 17 each
+    # subtraction takes the multiply-table translate first
     [
         (2, 4, [1], None),
         (2, 3, [1, 3], None),
@@ -149,28 +154,95 @@ def test_subcode_dimension_is_sum_of_space_dimensions():
         (2, 6, [1], 300),
         (2, 4, [1, 3], 300),
         (3, 3, [1, 2], 300),
+        (13, 2, [1, 2], None),
+        (17, 2, [1], None),
     ],
 )
 def test_rows_match_the_digit_reference(q, n, zeros, samples):
-    # packed F_2 rows reduced by XOR and shifted by a masked rotate, and odd-q
-    # digit rows, give the subcode and index that digit lists reduced and
-    # rotated literally give
+    # rows packed one digit per lane, bits reduced by XOR at q = 2 and bytes
+    # reduced lane-parallel at odd q, and shifted by a masked rotate, give the
+    # subcode and index that digit lists reduced and rotated literally give
     spec = validate_spec(q, n, zeros)
-    field = oracle_field(spec)
+    field = oracle_field(spec, cap=300)  # admits 17^2
     tuples = list(product([()] + list(enumerate_subspaces(field)), repeat=spec.s))
     if samples is not None:
         tuples = random.Random(11).sample(tuples, samples)
     for spaces in tuples:
         rows = build_subcode(field, spec, spaces)
-        if q == 2:
-            assert all(isinstance(row, int) for row in rows)
-            rows_as_digits = tuple(unpacked(row, spec.N) for row in rows)
-        else:
-            rows_as_digits = rows
+        assert all(isinstance(row, int) for row in rows)
         digits = digit_subcode(field, spec, spaces)
-        assert rows_as_digits == digits, spaces
+        assert tuple(unpacked(row, spec.N, q) for row in rows) == digits, spaces
         if any(spaces):
             assert qc_index(spec, rows) == digit_qc_index(spec, digits), spaces
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 128) if is_prime(p)])
+def test_lanes_hold_at_their_bounds(p):
+    # with every free lane at p - 1, row + (p - f) * prow reaches p(p - 1) at
+    # f = 1, the most a lane meets up to p = 13; from p = 17 the translated
+    # multiple plus the row reaches 2(p - 1), 252 at p = 127
+    N, top = 7, p - 1
+    pivot_rows = [(1, top, top, 0, top, top, top), (0, 0, 0, 1, top, top, top)]
+    pivots = {0: pivot_rows[0], 3: pivot_rows[1]}
+    rng = random.Random(p)
+    rows = [
+        (top,) * N,  # lead p - 1, scaled by its inverse
+        (1,) + (top,) * (N - 1),
+        (0,) + (top,) * (N - 1),
+        *pivot_rows,
+        *(tuple(rng.choice((top, rng.randrange(p))) for _ in range(N)) for _ in range(6)),
+    ]
+    packed_pivots = {8 * c: packed(row, p) for c, row in pivots.items()}
+    for row in rows:
+        got = oracle._reduce(p, packed_pivots, packed(row, p))
+        assert unpacked(got, N, p) == tuple(reduce_digits(p, pivots, row)), row
+    # the fixed rows span a space with free columns, so the echelon form is
+    # not the identity
+    fixed = rows[:5]
+    got = oracle._rref(p, [packed(row, p) for row in fixed])
+    assert tuple(unpacked(row, N, p) for row in got) == rref_digits(p, fixed)
+    assert 1 < len(got) < N
+
+
+def test_primes_past_the_byte_lanes_are_refused():
+    spec = validate_spec(131, 2, [1])
+    with pytest.raises(InvalidParameterError, match="byte lanes"):
+        oracle_field(spec, cap=131**2)
+    with pytest.raises(InvalidParameterError, match="byte lanes"):
+        verify_shift_lemma(spec, cap=131**2, field=build_field(131, 2, cap=131**2))
+
+
+@pytest.mark.parametrize(
+    "q, n, zeros",
+    # N = 63 = 3^2 * 7 and N = 80 = 2^4 * 5 repeat a prime, so the descent
+    # divides by one prime more than once
+    [(2, 4, [1, 3]), (3, 3, [1, 2]), (5, 2, [1, 2]), (2, 6, [1]), (3, 4, [1])],
+)
+def test_prime_descent_matches_the_ascending_reference(q, n, zeros, monkeypatch):
+    spec = validate_spec(q, n, zeros)
+    field = oracle_field(spec)
+    shift = oracle._shift
+    tested = []
+    monkeypatch.setattr(
+        oracle, "_shift", lambda p, N, row, ell: tested.append(ell) or shift(p, N, row, ell)
+    )
+    factors = factorize(spec.N)
+    most_tests = sum(e for _, e in factors) + len(factors)  # Omega(N) + omega(N)
+    seen = set()
+    for spaces in product([()] + list(enumerate_subspaces(field)), repeat=spec.s):
+        if not any(spaces):
+            continue
+        rows = build_subcode(field, spec, spaces)
+        digits = tuple(unpacked(row, spec.N, q) for row in rows)
+        tested.clear()
+        ell = qc_index(spec, rows)
+        assert ell == digit_qc_index(spec, digits), spaces
+        # each test shifts the first row first, by a new amount
+        assert 1 <= len(set(tested)) <= most_tests, spaces
+        seen.add(ell)
+    # some index lies below a repeated prime power of N
+    repeated = [r for r, e in factors if e > 1]
+    assert not repeated or any(spec.N // ell % (r * r) == 0 for ell in seen for r in repeated)
 
 
 @pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 2, [1, 2]), (3, 3, [1])])
