@@ -2,17 +2,17 @@
 
 Elements are integers in [0, p^m): the base-p digits of x are its coordinates
 in the polynomial basis 1, t, ..., t^(m-1) of F_p[t]/(modulus), so an element
-is built from coordinates as an integer, with no field method.  The modulus
-(irreducible by Ben-Or's test) and the designated primitive element are the
-smallest in this integer encoding, so the same parameters always rebuild the
-identical field.  ExtField(p, m, modulus, alpha) with another alpha gives the
-same field with another primitive element; its table build rejects an element
-that is not primitive.  The inverse of a nonzero a is pow(a, -1).
+is built from coordinates as an integer, with no field method.  The modulus is
+the smallest monic f (coefficients read as base-p digits, constant term least
+significant) modulo which t has order p^m - 1, and alpha = t.  Such an f is
+primitive, hence irreducible (Lidl & Niederreiter, Finite Fields, §3.1), and
+the walk over the powers of t that finds it is the exp table, so the same
+parameters always rebuild the identical field.  ExtField(p, m, modulus, exp)
+takes the powers exp[k] = alpha^k of any primitive alpha and checks that they
+list every nonzero element once.  The inverse of a nonzero a is pow(a, -1).
 """
 
-from .numth import InvalidParameterError, factorize, is_prime
-
-DEFAULT_BUILD_CAP = 1 << 20
+from .numth import InvalidParameterError, is_prime
 
 
 class CapExceededError(InvalidParameterError):
@@ -27,139 +27,63 @@ def _digits(x: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _undigits(ds, p: int) -> int:
-    x = 0
-    for d in reversed(ds):
-        x = x * p + d
-    return x
+def _add(p: int, m: int, a: int, b: int) -> int:
+    """Digitwise sum mod p of two elements."""
+    if p == 2:
+        return a ^ b
+    out, scale = 0, 1
+    for _ in range(m):
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + db) % p * scale
+        scale *= p
+    return out
 
 
-def _raw_mul(p: int, modulus: tuple[int, ...], a: int, b: int) -> int:
-    """Table-free product of field elements a and b."""
-    m = len(modulus) - 1
-    return _undigits(_poly_mulmod(p, _digits(a, p, m), _digits(b, p, m), modulus), p)
+def _powers_of_t(p: int, m: int, low: int) -> list[int]:
+    """The powers 1, t, t^2, ... of t modulo f = t^m + low(t), up to the first
+    that returns to 1.  low(0) != 0 makes t invertible, so the walk is a cycle.
 
-
-def _raw_pow(p: int, modulus: tuple[int, ...], a: int, e: int) -> int:
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = _raw_mul(p, modulus, result, base)
-        base = _raw_mul(p, modulus, base, base)
-        e >>= 1
-    return result
-
-
-def _poly_mulmod(p: int, f: list[int], g: list[int], mod: list[int]) -> list[int]:
-    """Product of coefficient lists f, g reduced mod the monic polynomial mod."""
-    m = len(mod) - 1
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    prod[i + j] = (prod[i + j] + a * b) % p
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-    prod = prod[:m]
-    while prod and prod[-1] == 0:
-        prod.pop()
-    return prod
-
-
-def _poly_gcd(p: int, f: list[int], g: list[int]) -> list[int]:
-    f, g = list(f), list(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        r = list(f)
-        while len(r) >= len(g) and r:
-            c = r[-1] * inv % p
-            if c:
-                shift = len(r) - len(g)
-                for j, b in enumerate(g):
-                    r[shift + j] = (r[shift + j] - c * b) % p
-            while r and r[-1] == 0:
-                r.pop()
-        f, g = g, r
-    return f
-
-
-def is_irreducible(p: int, coeffs) -> bool:
-    """Irreducibility of a monic degree-m polynomial over F_p (Ben-Or, FOCS 1981).
-
-    A reducible f has an irreducible factor of some degree i <= m/2, which
-    divides t^(p^i) - t, so f is irreducible iff gcd(t^(p^i) - t, f) = 1 for
-    every i = 1..m//2.
+    Multiplying by t is x *= p; the digit c that overflows into t^m is folded
+    back as c * (-low(t)), read from a table of those multiples.
     """
-    f = tuple(coeffs)
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        raise InvalidParameterError("modulus must be monic of degree >= 1")
-    x = p  # t: its one nonzero base-p digit is the 1 at position 1
-    for _ in range(m // 2):
-        x = _raw_pow(p, f, x, p)
-        diff = _digits(x, p, m)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if len(_poly_gcd(p, f, diff)) > 1:
-            return False
-    return True
-
-
-def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m, coefficients read as base-p digits.
-
-    The search starts at encoding 1: the only degree-m candidate skipped is
-    t itself (m = 1, zero constant term), whose quotient ring collapses the
-    indeterminate to 0.
-    """
-    for val in range(1, p**m):
-        coeffs = _digits(val, p, m) + [1]
-        if is_irreducible(p, coeffs):
-            return tuple(coeffs)
-    raise InvalidParameterError(f"no irreducible of degree {m} over F_{p}")
-
-
-def _smallest_full_order(p: int, modulus: tuple[int, ...]) -> int:
-    m = len(modulus) - 1
-    order = p**m - 1
-    radicals = [r for r, _ in factorize(order)] if order > 1 else []
-    for cand in range(1, p**m):
-        if all(_raw_pow(p, modulus, cand, order // r) != 1 for r in radicals):
-            return cand
-    raise InvalidParameterError("no generator found")  # unreachable: F* is cyclic
+    size = p**m
+    neg_low = sum(-d % p * p**j for j, d in enumerate(_digits(low, p, m)))
+    fold = [0]
+    for _ in range(1, p):
+        fold.append(_add(p, m, fold[-1], neg_low))
+    exp = []
+    x = 1
+    while True:
+        exp.append(x)
+        x *= p
+        x = _add(p, m, x % size, fold[x // size])
+        if x == 1:
+            return exp
 
 
 class ExtField:
     """F_{p^m} as integers [0, p^m): multiplication via log/antilog tables,
     the absolute trace via a table of Tr(x) for every element x."""
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...], alpha: int):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...], exp: list[int]):
         self.p = p
         self.m = m
         self.size = p**m
         self.order = self.size - 1
         self.modulus = tuple(modulus)
-        if not 1 <= alpha < self.size:
-            raise InvalidParameterError(f"alpha = {alpha} out of range [1, {self.size})")
-        self.alpha = alpha
-        exp = [1] * max(self.order, 1)
         log = [-1] * self.size
-        x = 1
-        for k in range(self.order):
-            exp[k] = x
+        for k, x in enumerate(exp):
+            if not 0 < x < self.size or log[x] >= 0:
+                raise InvalidParameterError(f"exp[{k}] = {x} is zero, out of range or repeated")
             log[x] = k
-            x = _raw_mul(p, self.modulus, x, alpha)
-        if x != 1 or (self.order > 0 and min(log[1:]) < 0):
-            raise InvalidParameterError(f"alpha = {alpha} is not primitive")
-        self.exp = exp
+        if len(exp) != self.order:
+            raise InvalidParameterError(
+                f"exp lists {len(exp)} of the {self.order} nonzero elements"
+            )
+        self.exp = list(exp)
         self.log = log
+        self.alpha = exp[1 % self.order]
         traces = [0] * self.size
         for k in range(self.order):
             t = 0
@@ -172,10 +96,7 @@ class ExtField:
         return f"ExtField(p={self.p}, m={self.m}, modulus={self.modulus}, alpha={self.alpha})"
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p, m = self.p, self.m
-        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
+        return _add(self.p, self.m, a, b)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -190,19 +111,21 @@ class ExtField:
         return self.exp[(self.log[a] * e) % self.order]
 
 
-def build_field(p: int, m: int, cap: int = DEFAULT_BUILD_CAP) -> ExtField:
-    """Construct F_{p^m} with deterministic canonical choices.
+def build_field(p: int, m: int) -> ExtField:
+    """Construct F_{p^m} modulo its smallest primitive polynomial, alpha = t.
 
-    The modulus is the lexicographically smallest monic irreducible of degree
-    m (coefficient vectors compared as base-p integers, constant term least
-    significant) and alpha the smallest element of full multiplicative order.
+    Candidates f = t^m + low(t) with low(0) != 0 are tried in increasing
+    base-p encoding of low; the first whose powers of t number p^m - 1 is
+    primitive, and those powers are its exp table.
     """
     if not is_prime(p):
         raise InvalidParameterError(f"p = {p} is not prime")
     if m < 1:
         raise InvalidParameterError(f"degree m = {m} must be at least 1")
     size = p**m
-    if size > cap:
-        raise CapExceededError(f"p^m = {size} exceeds the build cap {cap}")
-    modulus = _canonical_modulus(p, m)
-    return ExtField(p, m, modulus, _smallest_full_order(p, modulus))
+    for low in range(1, size):
+        if low % p:
+            exp = _powers_of_t(p, m, low)
+            if len(exp) == size - 1:
+                return ExtField(p, m, (*_digits(low, p, m), 1), exp)
+    raise AssertionError("unreachable: every degree has a primitive polynomial")

@@ -70,9 +70,8 @@ def effective_cap(cap: int | None = None) -> int:
     return DEFAULT_ORACLE_CAP
 
 
-def _check_bounds(q: int, n: int, cap: int | None) -> int:
-    """The effective cap, once q^n is shown to be within it and q within a
-    byte lane."""
+def _check_bounds(q: int, n: int, cap: int | None) -> None:
+    """Refuse q^n above the effective cap and q past a byte lane."""
     limit = effective_cap(cap)
     if q**n > limit:
         raise CapExceededError(f"q^n = {q**n} exceeds the oracle cap {limit}")
@@ -81,7 +80,6 @@ def _check_bounds(q: int, n: int, cap: int | None) -> int:
             f"the oracle packs digits into byte lanes, which hold q <= {MAX_LANE_PRIME} only, "
             f"got q = {q}"
         )
-    return limit
 
 
 def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
@@ -90,8 +88,8 @@ def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
         raise InvalidParameterError(
             f"the explicit-field oracle supports prime q only, got q = {spec.q}"
         )
-    limit = _check_bounds(spec.q, spec.n, cap)
-    return build_field(spec.q, spec.n, cap=limit)
+    _check_bounds(spec.q, spec.n, cap)
+    return build_field(spec.q, spec.n)
 
 
 def _resolve_field(spec: CodeSpec, cap: int | None, field: ExtField | None) -> ExtField:

@@ -1,9 +1,11 @@
 """Reference helpers that only the tests use: field coordinates and the
-element with given coordinates, subfields, primitive elements, row reduction
-over digit lists, packing digits into the oracle's row lanes and back,
-subspace spans and fields of scalars, Gaussian binomials, the pairwise lcm
-fold, codewords evaluated point by point, subcodes and their shift index on
-digit tuples, trace annihilators and the tuple total.
+element with given coordinates, subfields, primitive elements, polynomials
+over F_p with trial division and schoolbook multiplication, the field modulo
+the smallest irreducible polynomial, row reduction over digit lists, packing
+digits into the oracle's row lanes and back, subspace spans and fields of
+scalars, Gaussian binomials, the pairwise lcm fold, codewords evaluated point
+by point, subcodes and their shift index on digit tuples, trace annihilators
+and the tuple total.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -34,8 +36,14 @@ def from_coeffs(field: ExtField, ds) -> int:
 
 
 def with_alpha(field: ExtField, alpha: int) -> ExtField:
-    """The same field with a different designated primitive element."""
-    return ExtField(field.p, field.m, field.modulus, alpha)
+    """The same field with a different designated primitive element: its exp
+    table is field.exp read with stride log(alpha), which ExtField rejects
+    unless alpha is primitive."""
+    if not 0 < alpha < field.size:
+        raise InvalidParameterError(f"alpha = {alpha} out of range [1, {field.size})")
+    step = field.log[alpha]
+    exp = [field.exp[k * step % field.order] for k in range(field.order)]
+    return ExtField(field.p, field.m, field.modulus, exp)
 
 
 def primitive_elements(field: ExtField) -> list[int]:
@@ -56,6 +64,71 @@ def subfield(field: ExtField, d: int) -> frozenset[int]:
         raise InvalidParameterError(f"d = {d} does not divide m = {field.m}")
     step = field.p**d
     return frozenset(x for x in range(field.size) if x == 0 or field.pow(x, step) == x)
+
+
+# -- polynomials over F_p as coefficient lists (constant term first) -------------
+
+
+def all_monic(p: int, m: int):
+    """Every monic polynomial of degree m, in increasing base-p encoding."""
+    for val in range(p**m):
+        yield [val // p**j % p for j in range(m)] + [1]
+
+
+def poly_divides(p: int, g, f) -> bool:
+    """Whether monic g divides f over F_p, by long division."""
+    r = list(f)
+    while len(r) >= len(g) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(g):
+            break
+        c = r[-1]
+        shift = len(r) - len(g)
+        for j, b in enumerate(g):
+            r[shift + j] = (r[shift + j] - c * b) % p
+    return not any(r)
+
+
+def brute_irreducible(p: int, f) -> bool:
+    """No monic divisor of degree 1..deg(f)//2: direct trial division."""
+    m = len(f) - 1
+    return not any(
+        poly_divides(p, g, f) for k in range(1, m // 2 + 1) for g in all_monic(p, k)
+    )
+
+
+def mul_mod(p: int, f, a, b) -> list[int]:
+    """Schoolbook product of a and b (m coefficients each) modulo the monic f
+    of degree m."""
+    m = len(f) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i]
+        for j in range(m + 1):
+            prod[i - m + j] = (prod[i - m + j] - c * f[j]) % p
+    return prod[:m]
+
+
+def smallest_irreducible_field(p: int, m: int) -> ExtField:
+    """F_{p^m} modulo the smallest monic irreducible with nonzero constant
+    term, alpha the smallest element of full order, and the exp table by
+    schoolbook multiplication: the field the oracle used before its modulus
+    became the smallest primitive polynomial."""
+    modulus = next(f for f in all_monic(p, m) if f[0] and brute_irreducible(p, f))
+    one = [1] + [0] * (m - 1)
+    for alpha in range(1, p**m):
+        a = [alpha // p**j % p for j in range(m)]
+        exp, x = [1], mul_mod(p, modulus, one, a)
+        while x != one:
+            exp.append(sum(d * p**j for j, d in enumerate(x)))
+            x = mul_mod(p, modulus, x, a)
+        if len(exp) == p**m - 1:
+            return ExtField(p, m, tuple(modulus), exp)
+    raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
 # -- rows as digit lists --------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import pytest
 
-from qcenum.gf import CapExceededError, build_field, is_irreducible
-from qcenum.numth import InvalidParameterError
+from qcenum.gf import ExtField, build_field
+from qcenum.numth import InvalidParameterError, is_prime
+from qcenum.oracle import DEFAULT_ORACLE_CAP
 from reference import (
+    all_monic,
+    brute_irreducible,
     coeffs,
     from_coeffs,
+    mul_mod,
     primitive_elements,
     subfield,
     subfield_generator,
@@ -14,68 +18,46 @@ from reference import (
 )
 
 
-def poly_divides(p, g, f):
-    """Whether monic g divides f over F_p, by long division on coefficient lists."""
-    r = list(f)
-    while len(r) >= len(g) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            break
-        c = r[-1]
-        shift = len(r) - len(g)
-        for j, b in enumerate(g):
-            r[shift + j] = (r[shift + j] - c * b) % p
-    return not any(r)
+def times_t(p, f, x):
+    """x * t modulo the monic f, on coefficient lists: shift x up one degree,
+    then subtract the digit that reached t^m times f."""
+    c = x[-1]
+    return [(d - c * g) % p for d, g in zip([0, *x[:-1]], f)]
 
 
-def brute_irreducible(p, f):
-    """No monic divisor of degree 1..deg(f)//2: direct trial division."""
-    m = len(f) - 1
-    for k in range(1, m // 2 + 1):
-        for val in range(p**k):
-            g = []
-            v = val
-            for _ in range(k):
-                g.append(v % p)
-                v //= p
-            g.append(1)
-            if poly_divides(p, g, f):
-                return False
-    return True
-
-
-def all_monic(p, m):
-    for val in range(p**m):
-        coeffs = []
-        v = val
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        yield coeffs + [1]
+def order_of_t(p, f):
+    """The multiplicative order of t modulo f, or None when t is not a unit."""
+    one = [1] + [0] * (len(f) - 2)
+    x = one
+    for k in range(1, p ** (len(f) - 1) + 1):
+        x = times_t(p, f, x)
+        if x == one:
+            return k
+    return None
 
 
 @pytest.mark.parametrize(
     "p, m",
-    [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (2, 6), (2, 8), (3, 4), (7, 2)],
+    [
+        (p, m)
+        for p in range(2, DEFAULT_ORACLE_CAP + 1)
+        if is_prime(p)
+        for m in range(1, DEFAULT_ORACLE_CAP.bit_length())
+        if p**m <= DEFAULT_ORACLE_CAP
+    ],
 )
-def test_is_irreducible_against_trial_division(p, m):
-    for f in all_monic(p, m):
-        assert is_irreducible(p, f) == brute_irreducible(p, f), (p, f)
-
-
-def test_is_irreducible_degree_one():
-    # linear polynomials are always irreducible
-    assert is_irreducible(2, [0, 1])
-    assert is_irreducible(2, [1, 1])
-    assert is_irreducible(5, [3, 1])
-
-
-def test_is_irreducible_rejects_non_monic():
-    with pytest.raises(InvalidParameterError):
-        is_irreducible(3, [1, 1, 2])
-    with pytest.raises(InvalidParameterError):
-        is_irreducible(2, [1])
+def test_modulus_is_the_smallest_primitive_polynomial(p, m):
+    field = build_field(p, m)
+    f = list(field.modulus)
+    assert brute_irreducible(p, f)
+    assert order_of_t(p, f) == field.order
+    for g in all_monic(p, m):
+        if g == f:
+            break
+        assert order_of_t(p, g) != field.order, g
+    for k in range(field.order):
+        got = coeffs(field, field.exp[(k + 1) % field.order])
+        assert list(got) == times_t(p, f, list(coeffs(field, field.exp[k]))), k
 
 
 def test_canonical_fields_pinned():
@@ -88,12 +70,12 @@ def test_canonical_fields_pinned():
     f16 = build_field(2, 4)
     assert f16.modulus == (1, 1, 0, 0, 1)
     assert f16.alpha == 2
-    f9 = build_field(3, 2)
-    assert f9.modulus == (1, 0, 1)
-    assert f9.alpha == 4
-    f256 = build_field(2, 8)  # the smallest irreducible, t is not primitive
-    assert f256.modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
-    assert f256.alpha == 3
+    f9 = build_field(3, 2)  # t^2 + 1 is irreducible, but t has order 4
+    assert f9.modulus == (2, 1, 1)
+    assert f9.alpha == 3
+    f256 = build_field(2, 8)  # 0x11B is irreducible, but t has order 51
+    assert f256.modulus == (1, 0, 1, 1, 1, 0, 0, 0, 1)
+    assert f256.alpha == 2
 
 
 def test_build_field_deterministic():
@@ -103,15 +85,6 @@ def test_build_field_deterministic():
     assert a.alpha == b.alpha
     assert a.exp == b.exp
     assert a.log == b.log
-
-
-def test_canonical_modulus_is_smallest_irreducible():
-    for p, m in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
-        field = build_field(p, m)
-        for f in all_monic(p, m):
-            if tuple(f) == field.modulus:
-                break
-            assert not is_irreducible(p, f), (p, m, f)
 
 
 def test_exp_log_roundtrip():
@@ -124,19 +97,8 @@ def test_exp_log_roundtrip():
 
 
 def independent_mul(field, a, b):
-    """Product in F_p[t]/(modulus) computed from scratch in the test."""
-    p, m = field.p, field.m
-    da, db = coeffs(field, a), coeffs(field, b)
-    prod = [0] * (2 * m)
-    for i, ca in enumerate(da):
-        for j, cb in enumerate(db):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
-    for i in range(2 * m - 1, m - 1, -1):
-        c = prod[i]
-        prod[i] = 0
-        for j in range(m):
-            prod[i - m + j] = (prod[i - m + j] - c * field.modulus[j]) % p
-    return from_coeffs(field, prod[:m])
+    """Product in F_p[t]/(modulus) by schoolbook multiplication."""
+    return from_coeffs(field, mul_mod(field.p, field.modulus, coeffs(field, a), coeffs(field, b)))
 
 
 @pytest.mark.parametrize("p, m", [(2, 4), (3, 2), (2, 3)])
@@ -249,13 +211,12 @@ def test_with_alpha_override():
         with_alpha(field, 16)
 
 
-def test_build_cap():
-    with pytest.raises(CapExceededError):
-        build_field(2, 5, cap=16)
-    field = build_field(2, 5, cap=32)
-    assert field.size == 32
-    with pytest.raises(CapExceededError):
-        build_field(2, 25)  # over the default cap
+def test_exp_table_must_list_every_nonzero_element_once():
+    modulus = (1, 1, 1)
+    assert ExtField(2, 2, modulus, [1, 2, 3]).alpha == 2
+    for exp in ([1, 2], [1, 2, 2], [1, 2, 3, 1], [0, 2, 3], [1, 2, 4]):
+        with pytest.raises(InvalidParameterError):
+            ExtField(2, 2, modulus, exp)
 
 
 def test_build_rejects_bad_parameters():

@@ -39,6 +39,7 @@ from reference import (
     primitive_elements,
     reduce_digits,
     rref_digits,
+    smallest_irreducible_field,
     subfield,
     subspace_spanned,
     trace_annihilators,
@@ -209,7 +210,7 @@ def test_primes_past_the_byte_lanes_are_refused():
     with pytest.raises(InvalidParameterError, match="byte lanes"):
         oracle_field(spec, cap=131**2)
     with pytest.raises(InvalidParameterError, match="byte lanes"):
-        verify_shift_lemma(spec, cap=131**2, field=build_field(131, 2, cap=131**2))
+        verify_shift_lemma(spec, cap=131**2, field=build_field(131, 2))
 
 
 @pytest.mark.parametrize(
@@ -423,6 +424,22 @@ def test_alpha_independence_of_measured_histogram():
         if tried == 2:
             break
     assert tried == 2
+
+
+@pytest.mark.parametrize("q, n, zeros", [(3, 2, [1, 2]), (5, 2, [1, 2]), (2, 8, [1])])
+def test_checks_do_not_depend_on_the_modulus(q, n, zeros):
+    # the field modulo the smallest irreducible polynomial, whose t is not
+    # primitive here, against the canonical one modulo the smallest primitive
+    # polynomial; the walk of (2, 8, [1]) takes seconds, so there only the
+    # nondegeneracy and shift-lemma reports are compared
+    spec = validate_spec(q, n, zeros)
+    other = smallest_irreducible_field(q, n)
+    assert other.modulus != oracle_field(spec).modulus
+    checks = [verify_trace_nondegeneracy, verify_shift_lemma]
+    if (q, n) != (2, 8):
+        checks.append(walk_subcodes)
+    for check in checks:
+        assert check(spec, field=other) == check(spec), check.__name__
 
 
 def test_oracle_field_rejects_prime_power_q():
