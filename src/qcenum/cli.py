@@ -8,16 +8,19 @@ validation, 3 verification failure or closed-form discrepancy.
 """
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
+from functools import lru_cache
 
 from .closed_form import FAMILIES, cross_check, family_table
 from .counting import maximal_counts, subspace_total
 from .enumeration import EnumerationOptions, IndexTable, multiplicity_table
 from .gf import CapExceededError
 from .index_calc import contribution_matrix, index_set
-from .numth import CodeSpec, InvalidParameterError, factorize, prime_power_base, validate_spec
+from .numth import CodeSpec, InvalidParameterError, prime_power_base, validate_spec
 from .oracle import (
     effective_cap,
     oracle_field,
@@ -34,13 +37,47 @@ EXIT_MISMATCH = 3
 _FACTOR_TRIAL_LIMIT = 10**6
 
 
+@lru_cache(maxsize=1)
+def _trial_primes() -> list[int]:
+    """The primes up to _FACTOR_TRIAL_LIMIT, by a sieve over the odd numbers
+    (entry i stands for 2i + 1)."""
+    half = _FACTOR_TRIAL_LIMIT // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(_FACTOR_TRIAL_LIMIT) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return [2, *itertools.compress(range(1, 2 * half, 2), sieve)]
+
+
 def factored_form(x: int) -> str | None:
-    """Factored rendering like 2^3*5*17, or None when trial division
-    up to 10^6 cannot certify the complete factorization."""
-    pairs = factorize(x, limit=_FACTOR_TRIAL_LIMIT) if x >= 2 else None
-    if pairs is None:
+    """Factored rendering like 2^3*5*17, or None when the factorization
+    cannot be certified: every prime factor up to 10^6 is divided out, and
+    the cofactor left must be 1 or below 10^12, hence 1 or a prime."""
+    if x < 2:
         return None
-    return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in pairs)
+    import bisect  # here, not at the top: `import qcenum.cli` stays without it
+
+    primes = _trial_primes()
+    parts = []
+    # the 168 primes below 1000 first: a smooth x, once reduced, bounds the
+    # scan of the rest by its own square root
+    for chunk in (primes[:168], primes[168:]):
+        # a prime past sqrt(x) divides x at most once, and is the cofactor
+        below_root = chunk[: bisect.bisect(chunk, math.isqrt(x))]
+        for p in [p for p in below_root if x % p == 0]:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            parts.append(f"{p}^{e}" if e > 1 else str(p))
+    if x >= _FACTOR_TRIAL_LIMIT**2:
+        return None
+    if x > 1:
+        parts.append(str(x))
+    return "*".join(parts)
 
 
 def _zeros_arg(text: str) -> list[int]:
@@ -283,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--factored", action="store_true",
-        help="render counts in factored form when small-prime trial division suffices",
+        help="render counts as prime factorizations: every prime factor up to 10^6 is "
+        "divided out, and the cofactor left must be 1 or below 10^12; other counts "
+        "print in decimal",
     )
     p.set_defaults(func=cmd_enumerate)
 

@@ -70,21 +70,19 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def factorize(n: int, limit: int | None = None) -> Factorization | None:
+def factorize(n: int) -> Factorization:
     """Prime factorization of n >= 1 by trial division, ascending primes.
 
     A primality test on the remaining cofactor cuts the division loop short
-    once only one prime can be left.  With a limit, trial divisors stop at
-    limit and the result is None whenever a cofactor >= limit^2 remains,
-    since trial division up to limit cannot certify it prime.
+    once only one prime can be left, so n is factored quickly unless its
+    second-largest prime factor is large.
     """
     if n < 1:
         raise InvalidParameterError(f"cannot factor {n}")
     pairs = []
     m = n
     d = 2
-    top = n if limit is None else limit
-    while d <= top and d * d <= m:
+    while d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -95,8 +93,6 @@ def factorize(n: int, limit: int | None = None) -> Factorization | None:
                 break
         d += 1 if d == 2 else 2
     if m > 1:
-        if limit is not None and m >= limit**2:
-            return None
         pairs.append((m, 1))
     return tuple(pairs)
 

@@ -3,9 +3,10 @@ element with given coordinates, subfields, primitive elements, polynomials
 over F_p with trial division and schoolbook multiplication, the field modulo
 the smallest irreducible polynomial, row reduction over digit lists, packing
 digits into the oracle's row lanes and back, subspace spans and fields of
-scalars, Gaussian binomials, the pairwise lcm fold, codewords evaluated point
-by point, subcodes and their shift index on digit tuples, trace annihilators
-and the tuple total.
+scalars, Gaussian binomials, the pairwise lcm fold, the subspace tuples a
+shift fixes, codewords evaluated point by point, subcodes and their shift
+index on digit tuples, trace annihilators, the tuple total, and factoring by
+trial division over odd numbers up to a limit.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -19,7 +20,7 @@ from math import gcd, lcm
 from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
 from qcenum.index_calc import ContributionMatrix, subfield_index
-from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of
+from qcenum.numth import CodeSpec, InvalidParameterError, divisors_of, is_prime
 from qcenum.oracle import enumerate_subspaces
 
 # -- the field ------------------------------------------------------------------
@@ -269,6 +270,27 @@ def pairwise_lcm_fold(matrix: ContributionMatrix, weights: dict[int, int]) -> di
     return acc
 
 
+def shift_fixed_tuples(spec: CodeSpec, D: int) -> int:
+    """Number of subspace tuples, zero spaces included, that the D-fold shift
+    maps to themselves, for D dividing N.
+
+    The D-fold shift multiplies the subspace at zero i_j by alpha^(D*i_j), of
+    multiplicative order N/gcd(N, D*i_j); a subspace is fixed exactly when it
+    is a space over the field that element generates, F_{q^e_j} with e_j the
+    least e | n such that q^e = 1 modulo that order.  The subspaces of
+    F_{q^n} over F_{q^e} number G_{n/e}(q^e), so the count is the product of
+    those Galois numbers.
+    """
+    if spec.N % D:
+        raise InvalidParameterError(f"D = {D} does not divide N = {spec.N}")
+    total = 1
+    for i in spec.zeros:
+        order = spec.N // gcd(spec.N, D * i)
+        e = next(e for e in divisors_of(spec.n) if pow(spec.q, e, order) == 1 % order)
+        total *= subspace_total(spec.n // e, spec.q**e) + 1
+    return total
+
+
 # -- codes ----------------------------------------------------------------------
 
 
@@ -324,3 +346,47 @@ def grand_total(spec: CodeSpec) -> int:
     """Total number of subcodes over all subspace tuples, zero space included:
     (subspace_total(n, q) + 1)^s."""
     return (subspace_total(spec.n, spec.q) + 1) ** spec.s
+
+
+# -- factoring ------------------------------------------------------------------
+
+
+def limited_factorize(n: int, limit: int | None = None):
+    """Prime factorization of n >= 1 by trial division over 2 and the odd
+    numbers, ascending primes: numth.factorize as it was when it took a limit.
+
+    A primality test on the remaining cofactor cuts the division loop short
+    once only one prime can be left.  With a limit, trial divisors stop at
+    limit and the result is None whenever a cofactor >= limit^2 remains,
+    since trial division up to limit cannot certify it prime.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"cannot factor {n}")
+    pairs = []
+    m = n
+    d = 2
+    top = n if limit is None else limit
+    while d <= top and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            pairs.append((d, e))
+            if m > 1 and is_prime(m):
+                break
+        d += 1 if d == 2 else 2
+    if m > 1:
+        if limit is not None and m >= limit**2:
+            return None
+        pairs.append((m, 1))
+    return tuple(pairs)
+
+
+def limited_factored_form(x: int) -> str | None:
+    """cli.factored_form by limited_factorize with limit 10^6: the rendering
+    like 2^3*5*17, or None when that factorization is None or x < 2."""
+    pairs = limited_factorize(x, limit=10**6) if x >= 2 else None
+    if pairs is None:
+        return None
+    return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in pairs)

@@ -1,13 +1,18 @@
 """Command-line behavior: formats, exit codes, option plumbing."""
 
+import functools
 import json
+import math
 
 import pytest
 
 from qcenum import cli
 from qcenum.closed_form import ClosedFormTable, bch2_binary_twoprimes
-from qcenum.enumeration import IndexTable
+from qcenum.enumeration import IndexTable, multiplicity_table
+from qcenum.numth import factorize, validate_spec
 from qcenum.oracle import ENV_CAP
+from reference import limited_factored_form, limited_factorize
+from test_numth import FACTORIZE_VALUES
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +103,75 @@ def test_factored_form_rules():
     assert cli.factored_form((10**9 + 7) * (10**9 + 9)) is None
     # one large certified-prime cofactor is fine
     assert cli.factored_form(2 * (10**9 + 7)) == "2*1000000007"
+
+
+# the counts of the cli benchmark mix's --factored calls
+CLI_MIX_FACTORED = ((2, 14, (1, 3)), (2, 60, (1, 3, 5)))
+
+# around the largest trial prime 999983 and the certification bound 10^12
+SIEVE_BOUNDARY = {
+    999983**2: "999983^2",
+    1000003**2: None,
+    2 * 999983 * 1000003: "2*999983*1000003",
+    999979 * 999983: "999979*999983",
+    3**40 * 999983: "3^40*999983",
+    2 * (10**12 + 39): None,
+}
+
+
+@functools.cache
+def cli_mix_counts() -> tuple[int, ...]:
+    return tuple(
+        count
+        for q, n, zeros in CLI_MIX_FACTORED
+        for count in multiplicity_table(validate_spec(q, n, list(zeros))).entries.values()
+    )
+
+
+@functools.cache
+def limited_forms(values: tuple[int, ...]) -> tuple:
+    """(x, limited_factored_form(x)) per value: trial division over every odd
+    number up to 10^6 takes seconds on the cli mix, so it runs once."""
+    return tuple((x, limited_factored_form(x)) for x in values)
+
+
+def factored_mismatches(values) -> list:
+    """The values whose factored_form differs from the limited trial division."""
+    return [(x, want) for x, want in limited_forms(tuple(values)) if cli.factored_form(x) != want]
+
+
+def test_factored_form_on_the_cli_mix_counts():
+    assert len(cli_mix_counts()) == 33
+    assert factored_mismatches(cli_mix_counts()) == []
+
+
+def test_factored_form_on_the_factorize_values():
+    for m in FACTORIZE_VALUES:
+        # the reference's limited result is the full factorization, or None
+        # exactly when a part of m above the limit remains and is at least
+        # limit^2 (trial division up to limit cannot certify it prime)
+        fact = factorize(m)
+        for limit in (1, 2, 3, 10, 100, 10**4, 10**6):
+            cofactor = math.prod(p**e for p, e in fact if p > limit)
+            expect = None if cofactor > 1 and cofactor >= limit**2 else fact
+            assert limited_factorize(m, limit=limit) == expect, (m, limit)
+    assert factored_mismatches(FACTORIZE_VALUES) == []
+
+
+def test_factored_form_at_the_sieve_boundary():
+    for x, want in SIEVE_BOUNDARY.items():
+        assert limited_factored_form(x) == want, x
+    assert factored_mismatches(SIEVE_BOUNDARY) == []
+
+
+def test_factored_form_check_catches_a_short_sieve(monkeypatch):
+    # a sieve that stops at 999979 misses the largest trial prime 999983
+    primes = [p for p in cli._trial_primes() if p <= 999979]
+    monkeypatch.setattr(cli, "_trial_primes", lambda: primes)
+    assert any(
+        factored_mismatches(values)
+        for values in (cli_mix_counts(), FACTORIZE_VALUES, tuple(SIEVE_BOUNDARY))
+    )
 
 
 def test_indices_human(capsys):

@@ -40,7 +40,7 @@ CASES = [
     ("verify --q 2 --n 4 --zeros 1 --cap 8", None, 2),
     # q^n = 64 is under the cap, but the walk has 2825^2, about 8.0M, tuples
     ("verify --q 2 --n 6 --zeros 1,3", None, 2),
-    # digit rows at odd q: 10^5 tuples exceed the odd-q walk limit 2^16
+    # byte-lane rows at odd q: 10^5 tuples exceed the odd-q walk limit 2^16
     ("verify --q 7 --n 2 --zeros 1,2,3,4,5", None, 2),
     # a cap raised above the default admits the field: q^n = 289
     ("verify --q 17 --n 2 --zeros 1 --cap 300", None, 0),

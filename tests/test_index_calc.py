@@ -6,6 +6,8 @@ from itertools import product
 
 import pytest
 
+import test_golden_tables as golden
+from qcenum import index_calc
 from qcenum.counting import maximal_counts
 from qcenum.index_calc import (
     contribution_matrix,
@@ -15,7 +17,7 @@ from qcenum.index_calc import (
     subfield_index,
 )
 from qcenum.numth import InvalidParameterError, divisors_of, validate_spec
-from reference import pairwise_lcm_fold
+from reference import pairwise_lcm_fold, shift_fixed_tuples
 
 
 def index_set_combinations(spec) -> set[int]:
@@ -189,3 +191,63 @@ def test_lcm_fold_equals_pairwise_fold():
         iset = index_set(spec)
         assert set(iset.values) == set(fold) - {spec.N}, (spec.q, spec.n, spec.zeros)
         assert iset.excluded_n == (spec.N in fold), (spec.q, spec.n, spec.zeros)
+
+
+# the golden grid, prime-power q, and bench/workloads.py's EngineCold.GRID
+SHIFT_COUNT_SPECS = (
+    [(2, n, zeros) for n, zeros in golden.BINARY_ROWS]
+    + [(3, n, zeros) for n, zeros in golden.TERNARY_ROWS]
+    + [(q, n, (1, 2) if q == 9 else (1, 3)) for q in (4, 8, 9, 16) for n in range(2, 7)]
+    + [
+        (2, 120, (1, 3, 5)),
+        (2, 240, (1, 3)),
+        (2, 360, (1, 3, 5, 7)),
+        (2, 480, (1, 3)),
+        (4, 60, (1, 3)),
+        (8, 40, (1, 3)),
+        (9, 40, (1, 2)),
+        (3, 100, (1, 2, 4)),
+    ]
+)
+
+
+def shift_count_failures(q, n, zeros) -> list[int]:
+    """The D | N at which the fold's counts at the keys dividing D do not add
+    up to the subspace tuples the D-fold shift fixes.  D runs over every
+    divisor of N when N has at most 40 bits, so factoring it is quick, and
+    otherwise over the lcm-closure, as the pairwise fold finds it, and N."""
+    spec = validate_spec(q, n, list(zeros))
+    matrix = contribution_matrix(spec)
+    weights = maximal_counts(spec.n, spec.q).counts
+    fold = lcm_fold(matrix, weights)
+    if spec.N.bit_length() <= 40:
+        points = divisors_of(spec.N)
+    else:
+        points = sorted({*pairwise_lcm_fold(matrix, weights), spec.N})
+    return [
+        D
+        for D in points
+        if sum(c for E, c in fold.items() if D % E == 0) != shift_fixed_tuples(spec, D)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, n, zeros",
+    SHIFT_COUNT_SPECS,
+    ids=[f"q{q}-n{n}-z{'_'.join(map(str, zs))}" for q, n, zs in SHIFT_COUNT_SPECS],
+)
+def test_fold_counts_the_tuples_each_shift_fixes(q, n, zeros):
+    assert shift_count_failures(q, n, zeros) == []
+
+
+def test_shift_count_check_catches_a_missing_closure_element(monkeypatch):
+    closure = index_calc._lcm_closure
+
+    def short_closure(columns):
+        values = closure(columns)
+        del values[len(values) // 2]
+        return values
+
+    monkeypatch.setattr(index_calc, "_lcm_closure", short_closure)
+    assert shift_count_failures(2, 12, (1, 3)) != []
+    assert shift_count_failures(2, 120, (1, 3, 5)) != []

@@ -340,7 +340,7 @@ def test_distinctness_counts():
 @pytest.mark.parametrize(
     "q, n, zeros, cap, tuples",
     # under the cap on q^n, over the walk limit; a raised cap does not help;
-    # digit rows at odd q have the lower limit
+    # byte-lane rows at odd q have the lower limit
     [
         (2, 6, [1, 3], None, 7980625),
         (2, 9, [1], 512, 8283458),
