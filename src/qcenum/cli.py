@@ -120,18 +120,14 @@ def _emit_json(record: dict) -> None:
     print(json.dumps(record, indent=2, sort_keys=True))
 
 
-def _emit_table(table: IndexTable, engine: str, fmt: str, factored: bool = False) -> None:
-    spec = table.spec
+def _emit_table(table: IndexTable, engine: str, fmt: str) -> None:
+    """A table as JSON or CSV; each command renders its own human text."""
     if fmt == "json":
         _emit_json(_table_record(table, engine))
-    elif fmt == "csv":
+    else:
         print("index,count")
         for k, v in table.entries.items():
             print(f"{k},{v}")
-    else:
-        zeros = ",".join(str(z) for z in spec.zeros)
-        print(f"q={spec.q} n={spec.n} N={spec.N} zeros={zeros} engine={engine}")
-        print(", ".join(_bracket_row(k, v, factored) for k, v in table.entries.items()))
 
 
 def cmd_indices(args) -> int:
@@ -164,6 +160,10 @@ def cmd_indices(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.factored and args.format != "human":
+        raise InvalidParameterError(
+            f"--factored renders human output only, not --format {args.format}"
+        )
     spec = validate_spec(args.q, args.n, args.zeros)
     options = EnumerationOptions(
         exclude_zero_code=not args.include_zero,
@@ -171,8 +171,13 @@ def cmd_enumerate(args) -> int:
         report_index_n=not args.no_index_n,
     )
     table = multiplicity_table(spec, options)
-    _emit_table(table, "generic", args.format, factored=args.factored)
-    if args.format == "human" and not args.no_index_n:
+    if args.format != "human":
+        _emit_table(table, "generic", args.format)
+        return EXIT_OK
+    zeros = ",".join(str(z) for z in spec.zeros)
+    print(f"q={spec.q} n={spec.n} N={spec.N} zeros={zeros} engine=generic")
+    print(", ".join(_bracket_row(k, v, args.factored) for k, v in table.entries.items()))
+    if not args.no_index_n:
         print(f"full-length selections (lcm = N): {table.index_n_count}")
     return EXIT_OK
 
@@ -320,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--factored", action="store_true",
-        help="render counts as prime factorizations: every prime factor up to 10^6 is "
-        "divided out, and the cofactor left must be 1 or below 10^12; other counts "
-        "print in decimal",
+        help="render counts as prime factorizations, in human format only: every prime "
+        "factor up to 10^6 is divided out, and the cofactor left must be 1 or below "
+        "10^12; other counts print in decimal",
     )
     p.set_defaults(func=cmd_enumerate)
 

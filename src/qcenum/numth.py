@@ -113,12 +113,31 @@ def moebius(m: int) -> int:
     return -1 if len(fact) % 2 else 1
 
 
+def _iroot(x: int, k: int) -> int:
+    """The integer k-th root floor(x^(1/k)) of x >= 1, by Newton's method
+    descending from a power of two above the root."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power_base(q: int) -> int | None:
-    """The prime p with q = p^k, or None when q >= 2 is not a prime power."""
+    """The prime p with q = p^k, or None when q >= 2 is not a prime power.
+
+    Tries each exponent k with 2^k <= q by an integer k-th root and a
+    primality test, so no factoring is needed: a product of two large primes
+    is rejected as fast as a prime power is found.
+    """
     if q < 2:
         return None
-    fact = factorize(q)
-    return fact[0][0] if len(fact) == 1 else None
+    for k in range(1, q.bit_length()):
+        r = _iroot(q, k)
+        if r**k == q and is_prime(r):
+            return r
+    return None
 
 
 def cyclotomic_coset(i: int, q: int, N: int) -> frozenset[int]:

@@ -22,10 +22,10 @@ walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) either build
 F_{q^n} under the cap or take a caller's field, which must be F_{q^n} and
 within the cap; the cap is tested there and nowhere else.  The default cap
 keeps fields at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
-environment variable.  The walk limit bounds the work: there are
-subspace_total(n, q) subspaces and (that + 1)^s subspace tuples, and a walk
-refuses more than WALK_LIMIT tuples at q = 2, or ODD_WALK_LIMIT at odd q,
-before it enumerates a subspace, whatever the cap.
+environment variable.  The walk budget bounds the work: there are
+subspace_total(n, q) subspaces and (that + 1)^s subspace tuples, a walk costs
+its tuple count times its lane width in bits, and one costing more than
+WALK_BUDGET is refused before it enumerates a subspace, whatever the cap.
 """
 
 import os
@@ -44,16 +44,9 @@ SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
-# most subspace tuples one walk visits, by lane width; each limit stands for
-# at most about a minute and a few hundred MB within the default cap.  On a
-# 2-vCPU host bit-lane rows (q = 2) walk about 70,000 tuples/s at N = 255, so
-# 2^20 take about 15 s; byte-lane rows (odd q) walk 20,000-35,000 tuples/s
-# at q <= 7 and s <= 4, and 10,000 at (13, 2, [1, 2, 3, 4]), N = 168, whose
-# 2^16 tuples take about 7 s and peak at 80 MB.  Being a count of tuples, the
-# odd limit also refuses walks that would fit the budget, such as
-# (7, 2, [1, 2, 3, 4, 5]) at about 8 s.
-WALK_LIMIT = 1 << 20
-ODD_WALK_LIMIT = 1 << 16
+# the most one walk may cost, in lane bits: its tuples times its lane width,
+# 1 bit over F_2 and 8 over odd q, where a tuple takes 3-8 times as long
+WALK_BUDGET = 1 << 20
 MAX_LANE_PRIME = 127  # largest odd p whose lane sums, below 2(p - 1), fit a byte
 
 
@@ -232,7 +225,7 @@ def enumerate_subspaces(field: ExtField):
 # -- trace-representation codes ----------------------------------------------
 
 
-# more than the distinct words of any walk the default cap and the walk limit
+# more than the distinct words of any walk the default cap and the walk budget
 # admit: at most 676, at (13, 2, [1, 2, 3, 4])
 @lru_cache(maxsize=1024)
 def _trace_row(field: ExtField, exponent: int, coeff: int) -> int:
@@ -309,15 +302,15 @@ def qc_index(spec: CodeSpec, rows) -> int:
 def _subcodes(field: ExtField, spec: CodeSpec):
     """Every tuple of subspaces, the zero space included, with its subcode.
 
-    A walk over more than WALK_LIMIT tuples (ODD_WALK_LIMIT at odd q) is
-    refused before any subspace is enumerated.
+    A walk whose tuples times lane width exceeds WALK_BUDGET is refused
+    before any subspace is enumerated.
     """
-    limit = WALK_LIMIT if spec.q == 2 else ODD_WALK_LIMIT
     tuples = (subspace_total(spec.n, spec.q) + 1) ** spec.s
-    if tuples > limit:
+    width = 1 if spec.q == 2 else 8
+    if tuples * width > WALK_BUDGET:
         raise CapExceededError(
-            f"(subspace_total(n, q) + 1)^s = {tuples} subspace tuples "
-            f"exceed the walk limit {limit}"
+            f"(subspace_total(n, q) + 1)^s = {tuples} subspace tuples cost {tuples * width} "
+            f"lane bits ({width} a tuple), over the walk budget {WALK_BUDGET}"
         )
     choices = [()] + list(enumerate_subspaces(field))
     for spaces in product(choices, repeat=spec.s):

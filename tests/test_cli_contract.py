@@ -40,8 +40,16 @@ CASES = [
     ("verify --q 2 --n 4 --zeros 1 --cap 8", None, 2),
     # q^n = 64 is under the cap, but the walk has 2825^2, about 8.0M, tuples
     ("verify --q 2 --n 6 --zeros 1,3", None, 2),
-    # byte-lane rows at odd q: 10^5 tuples exceed the odd-q walk limit 2^16
-    ("verify --q 7 --n 2 --zeros 1,2,3,4,5", None, 2),
+    # byte-lane rows at odd q: 2^18 tuples of 8 lane bits exceed the walk
+    # budget of 2^20 lane bits
+    ("verify --q 5 --n 2 --zeros 1,2,3,4,7,8", None, 2),
+    # --factored renders human output only
+    ("enumerate --q 2 --n 6 --zeros 1,3 --factored --format csv", None, 2),
+    ("enumerate --q 2 --n 6 --zeros 1,3 --factored --format json", None, 2),
+    # q = 1000000007 * 1000000009 is no prime power, found without factoring q
+    ("subspaces --q 1000000016000000063 --n 2", None, 2),
+    ("enumerate --q 1000000016000000063 --n 2 --zeros 1", None, 2),
+    ("subspaces --q 1000000007 --n 2", None, 0),
     # a cap raised above the default admits the field: q^n = 289
     ("verify --q 17 --n 2 --zeros 1 --cap 300", None, 0),
     # odd-q rows keep one digit per byte lane, which holds q <= 127 only

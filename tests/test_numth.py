@@ -95,14 +95,21 @@ def test_moebius_divisor_sum_identity():
         assert total == (1 if m == 1 else 0), m
 
 
+# the large q are found by integer roots, with no trial division up to sqrt(q)
 @pytest.mark.parametrize(
-    "q, base", [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (25, 5), (7, 7), (49, 7)]
+    "q, base",
+    [
+        (2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (25, 5), (7, 7), (49, 7),
+        (1000000007**3, 1000000007), (2**127 - 1, 2**127 - 1),
+    ],
 )
 def test_prime_power_base(q, base):
     assert prime_power_base(q) == base
 
 
-@pytest.mark.parametrize("q", [1, 6, 12, 15, 100, 0, -4])
+@pytest.mark.parametrize(
+    "q", [1, 6, 12, 15, 100, 0, -4, 1000000007 * 1000000009, 1000000007**2 * 1000000009]
+)
 def test_prime_power_base_non_prime_power(q):
     assert prime_power_base(q) is None
 

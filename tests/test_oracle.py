@@ -14,8 +14,7 @@ from qcenum.numth import InvalidParameterError, factorize, is_prime, validate_sp
 from qcenum.oracle import (
     DEFAULT_ORACLE_CAP,
     ENV_CAP,
-    ODD_WALK_LIMIT,
-    WALK_LIMIT,
+    WALK_BUDGET,
     build_subcode,
     effective_cap,
     enumerate_subspaces,
@@ -339,12 +338,14 @@ def test_distinctness_counts():
 @pytest.mark.parametrize("walk", [measured_histogram, verify_distinctness])
 @pytest.mark.parametrize(
     "q, n, zeros, cap, tuples",
-    # under the cap on q^n, over the walk limit; a raised cap does not help;
-    # byte-lane rows at odd q have the lower limit
+    # under the cap on q^n, over the walk budget; a raised cap does not help;
+    # a tuple of byte-lane rows at odd q costs 8 lane bits
     [
         (2, 6, [1, 3], None, 7980625),
         (2, 9, [1], 512, 8283458),
-        (7, 2, [1, 2, 3, 4, 5], None, 100000),
+        (5, 2, [1, 2, 3, 4, 7, 8], None, 262144),
+        (11, 2, [1, 2, 3, 4, 5], None, 537824),
+        (3, 3, [1, 2, 4, 5], None, 614656),
     ],
 )
 def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples, monkeypatch):
@@ -361,16 +362,35 @@ def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples,
 
 @pytest.mark.parametrize(
     "q, n, zeros, tuples",
-    [(2, 8, [1], 417199), (2, 4, [1, 3, 7], 300763), (13, 2, [1, 2, 3, 4], 65536)],
+    [
+        (2, 8, [1], 417199),
+        (2, 4, [1, 3, 7], 300763),
+        (13, 2, [1, 2, 3, 4], 65536),
+        (7, 2, [1, 2, 3, 4, 5], 100000),
+    ],
 )
 def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
     monkeypatch.delenv(ENV_CAP, raising=False)
     spec = validate_spec(q, n, zeros)
-    assert grand_total(spec) == tuples <= (WALK_LIMIT if q == 2 else ODD_WALK_LIMIT)
+    assert grand_total(spec) == tuples <= WALK_BUDGET // (1 if q == 2 else 8)
     # with no subspaces to yield, the admitted walk visits the zero tuple alone
     monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
     report = verify_distinctness(spec)
     assert (report.total_tuples, report.distinct_codes) == (1, 1)
+
+
+@pytest.mark.parametrize("q, n, tuples", [(2, 4, WALK_BUDGET), (3, 2, WALK_BUDGET // 8)])
+def test_walk_at_the_budget_is_admitted_and_one_tuple_more_refused(q, n, tuples, monkeypatch):
+    # one zero, so a walk has subspace_total + 1 tuples, costing exactly
+    # WALK_BUDGET lane bits at 1 bit a tuple over F_2 and 8 over odd q
+    monkeypatch.delenv(ENV_CAP, raising=False)
+    spec = validate_spec(q, n, [1])
+    monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
+    monkeypatch.setattr(oracle, "subspace_total", lambda n, q: tuples - 1)
+    assert verify_distinctness(spec).total_tuples == 1
+    monkeypatch.setattr(oracle, "subspace_total", lambda n, q: tuples)
+    with pytest.raises(CapExceededError, match=f"{tuples + 1} subspace tuples"):
+        verify_distinctness(spec)
 
 
 def test_trace_nondegeneracy_exhaustive():
