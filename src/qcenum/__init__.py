@@ -10,10 +10,9 @@ oracle over explicitly constructed fields.
 
 from .closed_form import cross_check, family_table
 from .enumeration import multiplicity_table
-from .gf import CapExceededError
 from .index_calc import index_set
 from .numth import InvalidParameterError, validate_spec
-from .oracle import measured_histogram
+from .oracle import CapExceededError, measured_histogram
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,6 @@ from functools import lru_cache
 from .closed_form import FAMILIES, cross_check, family_table
 from .counting import maximal_counts, subspace_total
 from .enumeration import EnumerationOptions, IndexTable, multiplicity_table
-from .gf import CapExceededError
 from .index_calc import contribution_matrix, index_set
 from .numth import CodeSpec, InvalidParameterError, prime_power_base, validate_spec
 from .oracle import (
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
         set_digits(0)
     try:
         return args.func(args)
-    except (InvalidParameterError, CapExceededError) as exc:
+    except InvalidParameterError as exc:  # CapExceededError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     finally:

@@ -21,7 +21,7 @@ from collections import namedtuple
 from .counting import maximal_counts_inclusion_exclusion, subspace_total
 from .enumeration import multiplicity_table
 from .index_calc import subfield_index
-from .numth import InvalidParameterError, is_prime, validate_spec
+from .numth import CodeSpec, InvalidParameterError, is_prime, validate_spec
 
 FAMILY_SIMPLEX = "simplex"
 FAMILY_BCH2_PRIMEPOWER = "bch2-binary-primepower"
@@ -52,9 +52,9 @@ class ClosedFormTable(namedtuple("ClosedFormTable", "family params spec literal"
         return {k: out[k] for k in sorted(out)}
 
 
-def _nz(m: int, q: int) -> int:
-    """subspace_total extended by the convention that empty dimensions count 0."""
-    return subspace_total(m, q) if m >= 1 else 0
+def _table(family: str, params: dict, spec: CodeSpec, literal: dict) -> ClosedFormTable:
+    """The family table with its literal counts sorted by index."""
+    return ClosedFormTable(family, params, spec, {k: literal[k] for k in sorted(literal)})
 
 
 def simplex_counts(q: int, n: int) -> ClosedFormTable:
@@ -72,12 +72,7 @@ def simplex_counts(q: int, n: int) -> ClosedFormTable:
         if q == 2 and d == 1:
             continue
         literal[subfield_index(q, n, d)] = count
-    return ClosedFormTable(
-        family=FAMILY_SIMPLEX,
-        params={"q": q, "n": n},
-        spec=spec,
-        literal={k: literal[k] for k in sorted(literal)},
-    )
+    return _table(FAMILY_SIMPLEX, {"q": q, "n": n}, spec, literal)
 
 
 def bch2_binary_primepower(u: int, a: int) -> ClosedFormTable:
@@ -98,7 +93,7 @@ def bch2_binary_primepower(u: int, a: int) -> ClosedFormTable:
 
     def term(e: int, f: int) -> int:
         # number of nonzero subspaces of a u^e-dimensional space over F_{2^(u^f)}
-        return _nz(u**e, 2 ** (u**f)) if e >= 0 else 0
+        return subspace_total(u**e, 2 ** (u**f)) if e >= 0 else 0
 
     def A(j: int) -> int:
         return term(a - j - 1, j) - term(a - j - 2, j + 1)
@@ -128,12 +123,7 @@ def bch2_binary_primepower(u: int, a: int) -> ClosedFormTable:
                 + A(1) * term(a - 1, 0)
                 + (A(0) + A(1)) * term(a - 3, 2)
             )
-    return ClosedFormTable(
-        family=FAMILY_BCH2_PRIMEPOWER,
-        params={"u": u, "a": a},
-        spec=spec,
-        literal={k: literal[k] for k in sorted(literal)},
-    )
+    return _table(FAMILY_BCH2_PRIMEPOWER, {"u": u, "a": a}, spec, literal)
 
 
 def bch2_binary_twoprimes(u: int, v: int) -> ClosedFormTable:
@@ -167,12 +157,7 @@ def bch2_binary_twoprimes(u: int, v: int) -> ClosedFormTable:
             L3: Y * Y - 1,
             L3 // 3: 2 * Y - 2,
         }
-    return ClosedFormTable(
-        family=FAMILY_BCH2_TWOPRIMES,
-        params={"u": u, "v": v},
-        spec=spec,
-        literal={k: literal[k] for k in sorted(literal)},
-    )
+    return _table(FAMILY_BCH2_TWOPRIMES, {"u": u, "v": v}, spec, literal)
 
 
 def bch3_pary_twoprimes(p: int, u: int, v: int) -> ClosedFormTable:
@@ -212,12 +197,7 @@ def bch3_pary_twoprimes(p: int, u: int, v: int) -> ClosedFormTable:
             L3: Y * Y - 1,
             L3 // 2: 2 * Y - 2,
         }
-    return ClosedFormTable(
-        family=FAMILY_BCH3_PARY,
-        params={"p": p, "u": u, "v": v},
-        spec=spec,
-        literal={k: literal[k] for k in sorted(literal)},
-    )
+    return _table(FAMILY_BCH3_PARY, {"p": p, "u": u, "v": v}, spec, literal)
 
 
 def family_table(family: str, **params) -> ClosedFormTable:

@@ -9,6 +9,7 @@ of the interesting multiplicities run to dozens of digits.
 
 from collections import namedtuple
 from itertools import combinations
+from math import prod
 
 from .numth import InvalidParameterError, divisors_of, factorize, moebius
 
@@ -61,31 +62,25 @@ def maximal_counts(n: int, q: int) -> MaximalCountTable:
 
 
 def maximal_counts_inclusion_exclusion(n: int, q: int) -> MaximalCountTable:
-    """Same counts via alternating sums over subsets of the primes dividing n.
+    """Same counts via alternating sums over subsets of the primes dividing n/d.
 
-    For d = prod u_j^(i_j) dividing n = prod u_j^(a_j), subtract for every
-    nonempty subset S of primes the subspaces already defined over the larger
-    field obtained by raising each i_j, j in S, by one; terms where i_j + 1
-    exceeds a_j contribute nothing.  Kept alongside the Moebius form as an
-    internal cross-check, since both must agree on every divisor.
+    A subspace defined over F_{q^d} has a larger field of scalars exactly when
+    it is defined over F_{q^(d*u)} for some prime u | n/d, and it is defined
+    over F_{q^(d*u)} for every u in a set S of such primes exactly when it is
+    defined over F_{q^e}, e = d * prod(S).  Inclusion-exclusion over S gives
+
+        M(d) = sum_S (-1)^|S| * subspace_total(n/e, q^e).
+
+    Kept alongside the Moebius form as an internal cross-check, since both
+    must agree on every divisor.
     """
-    fact = factorize(n)
-    primes = [u for u, _ in fact]
-    exps = {u: a for u, a in fact}
     counts = {}
     for d in divisors_of(n):
-        dexp = {u: e for u, e in factorize(d)} if d > 1 else {}
+        primes = [u for u, _ in factorize(n // d)]
         total = 0
         for r in range(len(primes) + 1):
             for subset in combinations(primes, r):
-                bumped = {u: dexp.get(u, 0) + (1 if u in subset else 0) for u in primes}
-                if any(bumped[u] > exps[u] for u in subset):
-                    continue
-                dim = 1
-                base_exp = 1
-                for u in primes:
-                    dim *= u ** (exps[u] - bumped[u])
-                    base_exp *= u ** bumped[u]
-                total += (-1) ** r * subspace_total(dim, q**base_exp)
+                e = d * prod(subset)
+                total += (-1) ** r * subspace_total(n // e, q**e)
         counts[d] = total
     return MaximalCountTable(q=q, n=n, counts=counts)

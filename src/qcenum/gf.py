@@ -15,10 +15,6 @@ list every nonzero element once.  The inverse of a nonzero a is pow(a, -1).
 from .numth import InvalidParameterError, is_prime
 
 
-class CapExceededError(InvalidParameterError):
-    """A requested field or search is larger than the configured cap."""
-
-
 def _digits(x: int, p: int, m: int) -> list[int]:
     out = []
     for _ in range(m):

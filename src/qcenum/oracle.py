@@ -17,15 +17,16 @@ row is zero).  The two sampled checks draw their coefficient tuples from one
 pool, _coefficient_tuples.
 
 Everything here is exhaustive, so runs are bounded twice.  The cap bounds the
-field size q^n: the checks (measured_histogram, verify_distinctness,
-walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) either build
-F_{q^n} under the cap or take a caller's field, which must be F_{q^n} and
-within the cap; the cap is tested there and nowhere else.  The default cap
-keeps fields at desk scale; raise it per call or via the QCENUM_ORACLE_CAP
-environment variable.  The walk budget bounds the work: there are
-subspace_total(n, q) subspaces and (that + 1)^s subspace tuples, a walk costs
-its tuple count times its lane width in bits, and one costing more than
-WALK_BUDGET is refused before it enumerates a subspace, whatever the cap.
+field size q^n.  Each check (measured_histogram, verify_distinctness,
+walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) first calls
+oracle_field, the one admission check: a caller's field must be F_{q^n} of the
+spec, q must be prime, q^n within the cap and q within a byte lane; the field
+is then the caller's or a new F_{q^n}.  The default cap keeps fields at desk
+scale; raise it per call or via the QCENUM_ORACLE_CAP environment variable.
+The walk budget bounds the work, in _walk: there are subspace_total(n, q)
+subspaces and (that + 1)^s subspace tuples, a walk costs its tuple count times
+its lane width in bits, and one costing more than WALK_BUDGET is refused
+before it enumerates a subspace, whatever the cap.
 """
 
 import os
@@ -35,7 +36,7 @@ from itertools import combinations, product
 
 from .counting import subspace_total
 from .enumeration import DEFAULT_OPTIONS, EnumerationOptions, IndexTable, tabulate
-from .gf import CapExceededError, ExtField, build_field
+from .gf import ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, factorize, is_prime
 
 DEFAULT_ORACLE_CAP = 256
@@ -63,8 +64,21 @@ def effective_cap(cap: int | None = None) -> int:
     return DEFAULT_ORACLE_CAP
 
 
-def _check_bounds(q: int, n: int, cap: int | None) -> None:
-    """Refuse q^n above the effective cap and q past a byte lane."""
+class CapExceededError(InvalidParameterError):
+    """A requested field or walk is larger than the configured cap or budget."""
+
+
+def oracle_field(spec: CodeSpec, cap: int | None = None, field: ExtField | None = None) -> ExtField:
+    """The field a check runs over, once the check is admitted: the caller's
+    field, which must be F_{q^n} of the spec, or else build_field(q, n).
+
+    q must be prime, q^n within the effective cap and q within a byte lane.
+    """
+    q, n = spec.q, spec.n
+    if field is not None and (field.p, field.m) != (q, n):
+        raise InvalidParameterError(f"field F_{field.p}^{field.m} is not F_{q}^{n} of the spec")
+    if not is_prime(q):
+        raise InvalidParameterError(f"the explicit-field oracle supports prime q only, got q = {q}")
     limit = effective_cap(cap)
     if q**n > limit:
         raise CapExceededError(f"q^n = {q**n} exceeds the oracle cap {limit}")
@@ -73,29 +87,7 @@ def _check_bounds(q: int, n: int, cap: int | None) -> None:
             f"the oracle packs digits into byte lanes, which hold q <= {MAX_LANE_PRIME} only, "
             f"got q = {q}"
         )
-
-
-def oracle_field(spec: CodeSpec, cap: int | None = None) -> ExtField:
-    """The canonical explicit field F_{q^n} for a spec; requires prime q."""
-    if not is_prime(spec.q):
-        raise InvalidParameterError(
-            f"the explicit-field oracle supports prime q only, got q = {spec.q}"
-        )
-    _check_bounds(spec.q, spec.n, cap)
-    return build_field(spec.q, spec.n)
-
-
-def _resolve_field(spec: CodeSpec, cap: int | None, field: ExtField | None) -> ExtField:
-    """The field a check runs over: oracle_field(spec, cap), or the caller's
-    field once it is shown to be F_{q^n} and within the cap."""
-    if field is None:
-        return oracle_field(spec, cap)
-    if (field.p, field.m) != (spec.q, spec.n):
-        raise InvalidParameterError(
-            f"field F_{field.p}^{field.m} is not F_{spec.q}^{spec.n} of the spec"
-        )
-    _check_bounds(field.p, field.m, cap)
-    return field
+    return field if field is not None else build_field(q, n)
 
 
 # -- rows: words of length N over F_p, packed into ints ------------------------
@@ -299,8 +291,11 @@ def qc_index(spec: CodeSpec, rows) -> int:
     return d
 
 
-def _subcodes(field: ExtField, spec: CodeSpec):
-    """Every tuple of subspaces, the zero space included, with its subcode.
+def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None):
+    """One pass over every tuple of subspaces, the zero space included, and
+    its subcode.  Tallies each tuple's index into tally and keys seen on each
+    subcode's rows, each when given; returns the tuple count and the
+    colliding pairs of tuples.
 
     A walk whose tuples times lane width exceeds WALK_BUDGET is refused
     before any subspace is enumerated.
@@ -313,17 +308,10 @@ def _subcodes(field: ExtField, spec: CodeSpec):
             f"lane bits ({width} a tuple), over the walk budget {WALK_BUDGET}"
         )
     choices = [()] + list(enumerate_subspaces(field))
-    for spaces in product(choices, repeat=spec.s):
-        yield spaces, build_subcode(field, spec, spaces)
-
-
-def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None):
-    """One pass over _subcodes.  Tallies each tuple's index into tally and
-    keys seen on each subcode's rows, each when given; returns the tuple
-    count and the colliding pairs of tuples."""
     collisions = []
     total = 0
-    for spaces, rows in _subcodes(field, spec):
+    for spaces in product(choices, repeat=spec.s):
+        rows = build_subcode(field, spec, spaces)
         total += 1
         if tally is not None:
             # the zero tuple is read from the spaces, not the rows: taking the
@@ -351,7 +339,7 @@ def measured_histogram(
     The full tuple is measured like any other; the zero tuple, whose code has
     no shift index, is tallied at 1.
     """
-    field = _resolve_field(spec, cap, field)
+    field = oracle_field(spec, cap, field)
     tally: dict[int, int] = {}
     _walk(field, spec, tally, None)
     return tabulate(spec, tally, options)
@@ -374,7 +362,7 @@ def verify_distinctness(
     spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> DistinctnessReport:
     """Check that distinct subspace tuples give distinct subcodes (as row spaces)."""
-    field = _resolve_field(spec, cap, field)
+    field = oracle_field(spec, cap, field)
     seen: dict[tuple, tuple] = {}
     total, collisions = _walk(field, spec, None, seen)
     return DistinctnessReport(total, len(seen), collisions)
@@ -384,7 +372,7 @@ def walk_subcodes(
     spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
 ) -> tuple[IndexTable, DistinctnessReport]:
     """measured_histogram and verify_distinctness from one walk over the tuples."""
-    field = _resolve_field(spec, cap, field)
+    field = oracle_field(spec, cap, field)
     tally: dict[int, int] = {}
     seen: dict[tuple, tuple] = {}
     total, collisions = _walk(field, spec, tally, seen)
@@ -425,7 +413,7 @@ def verify_trace_nondegeneracy(
     spot-checks NONDEGENERACY_SAMPLES random nonzero tuples, which must all
     fail to annihilate.
     """
-    field = _resolve_field(spec, cap, field)
+    field = oracle_field(spec, cap, field)
     pool = list(
         _coefficient_tuples(field, spec.s, NONDEGENERACY_SAMPLE_LIMIT, NONDEGENERACY_SAMPLES)
     )
@@ -459,7 +447,7 @@ def verify_shift_lemma(
     so that a sampled check cannot pass vacuously and a bad count is never
     silently ignored.
     """
-    field = _resolve_field(spec, cap, field)
+    field = oracle_field(spec, cap, field)
     if samples < 1:
         raise InvalidParameterError(f"samples = {samples} must be at least 1")
     total = field.size**spec.s

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qcenum import cli
+from qcenum import cli, oracle
 from qcenum.closed_form import ClosedFormTable, bch2_binary_twoprimes
 from qcenum.enumeration import IndexTable, multiplicity_table
 from qcenum.numth import factorize, validate_spec
@@ -284,6 +284,21 @@ def test_verify_json(capsys):
             {"index": 4, "count": "24"},
         ]
         assert record[side]["index_N_count"] == "0"
+
+
+def test_verify_builds_its_field_once(capsys, monkeypatch):
+    # cli builds the field and every check reuses it
+    calls = []
+    build = oracle.build_field
+
+    def counted(p, m):
+        calls.append((p, m))
+        return build(p, m)
+
+    monkeypatch.setattr(oracle, "build_field", counted)
+    code, _, _ = run(capsys, "verify", "--q", "3", "--n", "2", "--zeros", "1,2")
+    assert code == 0
+    assert calls == [(3, 2)]
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):

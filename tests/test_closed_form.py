@@ -17,7 +17,7 @@ from qcenum.enumeration import multiplicity_table
 from qcenum.index_calc import index_set, subfield_index
 from qcenum.numth import InvalidParameterError, validate_spec
 
-COMPOSITE_N = [4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20]
+SIMPLEX_N = [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20]
 
 
 def test_simplex_structure():
@@ -33,7 +33,7 @@ def test_simplex_structure():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("n", COMPOSITE_N)
+@pytest.mark.parametrize("n", SIMPLEX_N)
 def test_simplex_cross_check(q, n):
     report = cross_check(simplex_counts(q, n))
     assert report.ok, (q, n, report.mismatches)

@@ -126,8 +126,10 @@ def test_maximal_counts_partition_identity():
 
 
 def test_maximal_counts_moebius_equals_inclusion_exclusion():
+    # 30, 60 and 210 have three and four distinct primes, so the alternating
+    # sum runs over subsets of size 3 and 4 as well
     for q in (2, 3, 4, 5):
-        for n in range(1, 19):
+        for n in [*range(1, 19), 30, 60, 210]:
             a = maximal_counts(n, q)
             b = maximal_counts_inclusion_exclusion(n, q)
             assert a.counts == b.counts, (n, q)

@@ -8,10 +8,11 @@ import pytest
 from qcenum import oracle
 from qcenum.counting import maximal_counts, subspace_total
 from qcenum.enumeration import EnumerationOptions, multiplicity_table
-from qcenum.gf import CapExceededError, build_field
+from qcenum.gf import build_field
 from qcenum.index_calc import index_contribution, subfield_index
 from qcenum.numth import InvalidParameterError, factorize, is_prime, validate_spec
 from qcenum.oracle import (
+    CapExceededError,
     DEFAULT_ORACLE_CAP,
     ENV_CAP,
     WALK_BUDGET,
@@ -482,6 +483,7 @@ def test_cap_enforcement():
 FIELD_CHECKS = [
     measured_histogram,
     verify_distinctness,
+    walk_subcodes,
     verify_trace_nondegeneracy,
     verify_shift_lemma,
 ]

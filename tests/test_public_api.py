@@ -29,11 +29,18 @@ def _trees(directory: Path) -> list[ast.Module]:
 
 
 def _defined(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of classes."""
+    """Top-level functions, classes and non-dunder assigned names, and the
+    non-dunder methods of classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
@@ -42,15 +49,16 @@ def _defined(tree: ast.Module):
 
 def _referenced(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        # an assignment's own target is not a reader
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
 
 
 def test_every_package_name_has_a_caller():
-    """A def or class in src/qcenum is read in src/qcenum or bench/, or is
-    exported; a helper that only the tests use belongs in tests/reference.py."""
+    """A def, class or top-level assignment in src/qcenum is read in
+    src/qcenum or bench/, or is exported; a helper that only the tests use belongs in tests/reference.py."""
     src = _trees(ROOT / "src" / "qcenum")
     callers = src + _trees(ROOT / "bench")
     defined = {name for tree in src for name in _defined(tree)}
