@@ -21,7 +21,7 @@ from .enumeration import EnumerationOptions, IndexTable, multiplicity_table
 from .index_calc import contribution_matrix, index_set
 from .numth import CodeSpec, InvalidParameterError, prime_power_base, validate_spec
 from .oracle import (
-    effective_cap,
+    DEFAULT_ORACLE_CAP,
     oracle_field,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
@@ -228,7 +228,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         record = {
             **_spec_record(spec),
-            "cap": effective_cap(args.cap),
+            "cap": args.cap,
             "measured": _table_record(measured, "oracle"),
             "symbolic": _table_record(symbolic, "generic"),
             "histogram_match": histogram_ok,
@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
         _emit_json(record)
     else:
         zeros = ",".join(str(z) for z in spec.zeros)
-        print(f"verify q={spec.q} n={spec.n} zeros={zeros} (cap {effective_cap(args.cap)})")
+        print(f"verify q={spec.q} n={spec.n} zeros={zeros} (cap {args.cap})")
         took = _pairs(measured.entries)
         print(f"measured histogram: {took}; full-length: {measured.index_n_count}")
         took = _pairs(symbolic.entries)
@@ -344,7 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="explicit-field oracle vs the symbolic engine")
     add_spec_args(p)
     add_format_arg(p)
-    p.add_argument("--cap", type=int, default=None, help="max allowed q^n for oracle work")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_ORACLE_CAP,
+        help="max allowed q^n for oracle work (default %(default)s)",
+    )
     p.add_argument("--samples", type=int, default=100, help="samples for the shift check")
     p.set_defaults(func=cmd_verify)
 

@@ -17,24 +17,9 @@ class InvalidParameterError(ValueError):
 class ShortCosetError(InvalidParameterError):
     """A dual zero whose q-cyclotomic coset mod N is smaller than n."""
 
-    def __init__(self, zero: int, size: int, required: int):
-        super().__init__(
-            f"ShortCoset: zero {zero} has a cyclotomic coset of size {size}, need {required}"
-        )
-        self.zero = zero
-        self.size = size
-        self.required = required
-
 
 class DuplicateCosetError(InvalidParameterError):
     """Two dual zeros lying in the same q-cyclotomic coset mod N."""
-
-    def __init__(self, zero: int, other: int):
-        super().__init__(
-            f"DuplicateCoset: zeros {other} and {zero} generate the same cyclotomic coset"
-        )
-        self.zero = zero
-        self.other = other
 
 
 # (prime, exponent) pairs, primes ascending
@@ -194,10 +179,14 @@ def validate_spec(q: int, n: int, zeros) -> CodeSpec:
             raise InvalidParameterError(f"zero {i} out of range [1, {N - 1}]")
         coset = cyclotomic_coset(i, q, N)
         if len(coset) != n:
-            raise ShortCosetError(i, len(coset), n)
+            raise ShortCosetError(
+                f"ShortCoset: zero {i} has a cyclotomic coset of size {len(coset)}, need {n}"
+            )
         rep = min(coset)
         if rep in seen:
-            raise DuplicateCosetError(i, seen[rep])
+            raise DuplicateCosetError(
+                f"DuplicateCoset: zeros {seen[rep]} and {i} generate the same cyclotomic coset"
+            )
         seen[rep] = i
         reps.append(rep)
     return CodeSpec(q=q, n=n, zeros=tuple(sorted(reps)), N=N)

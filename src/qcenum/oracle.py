@@ -22,14 +22,13 @@ walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) first calls
 oracle_field, the one admission check: a caller's field must be F_{q^n} of the
 spec, q must be prime, q^n within the cap and q within a byte lane; the field
 is then the caller's or a new F_{q^n}.  The default cap keeps fields at desk
-scale; raise it per call or via the QCENUM_ORACLE_CAP environment variable.
+scale; raise it per call with cap=, the one way to set it.
 The walk budget bounds the work, in _walk: there are subspace_total(n, q)
 subspaces and (that + 1)^s subspace tuples, a walk costs its tuple count times
 its lane width in bits, and one costing more than WALK_BUDGET is refused
 before it enumerates a subspace, whatever the cap.
 """
 
-import os
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
@@ -40,7 +39,6 @@ from .gf import ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, factorize, is_prime
 
 DEFAULT_ORACLE_CAP = 256
-ENV_CAP = "QCENUM_ORACLE_CAP"
 SEED = 20240915  # seeds every sampled check, so a run is reproducible
 NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
@@ -51,37 +49,25 @@ WALK_BUDGET = 1 << 20
 MAX_LANE_PRIME = 127  # largest odd p whose lane sums, below 2(p - 1), fit a byte
 
 
-def effective_cap(cap: int | None = None) -> int:
-    """Explicit argument wins, then the environment variable, then the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameterError(f"{ENV_CAP}={env!r} is not an integer") from None
-    return DEFAULT_ORACLE_CAP
-
-
 class CapExceededError(InvalidParameterError):
     """A requested field or walk is larger than the configured cap or budget."""
 
 
-def oracle_field(spec: CodeSpec, cap: int | None = None, field: ExtField | None = None) -> ExtField:
+def oracle_field(
+    spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
+) -> ExtField:
     """The field a check runs over, once the check is admitted: the caller's
     field, which must be F_{q^n} of the spec, or else build_field(q, n).
 
-    q must be prime, q^n within the effective cap and q within a byte lane.
+    q must be prime, q^n within cap and q within a byte lane.
     """
     q, n = spec.q, spec.n
     if field is not None and (field.p, field.m) != (q, n):
         raise InvalidParameterError(f"field F_{field.p}^{field.m} is not F_{q}^{n} of the spec")
     if not is_prime(q):
         raise InvalidParameterError(f"the explicit-field oracle supports prime q only, got q = {q}")
-    limit = effective_cap(cap)
-    if q**n > limit:
-        raise CapExceededError(f"q^n = {q**n} exceeds the oracle cap {limit}")
+    if q**n > cap:
+        raise CapExceededError(f"q^n = {q**n} exceeds the oracle cap {cap}")
     if q > MAX_LANE_PRIME:
         raise InvalidParameterError(
             f"the oracle packs digits into byte lanes, which hold q <= {MAX_LANE_PRIME} only, "
@@ -330,7 +316,7 @@ def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None
 def measured_histogram(
     spec: CodeSpec,
     options: EnumerationOptions = DEFAULT_OPTIONS,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
     field: ExtField | None = None,
 ) -> IndexTable:
     """Measure qc_index over every subspace tuple, tally per index, and
@@ -359,7 +345,7 @@ class DistinctnessReport(
 
 
 def verify_distinctness(
-    spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
+    spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
 ) -> DistinctnessReport:
     """Check that distinct subspace tuples give distinct subcodes (as row spaces)."""
     field = oracle_field(spec, cap, field)
@@ -369,7 +355,7 @@ def verify_distinctness(
 
 
 def walk_subcodes(
-    spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
+    spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
 ) -> tuple[IndexTable, DistinctnessReport]:
     """measured_histogram and verify_distinctness from one walk over the tuples."""
     field = oracle_field(spec, cap, field)
@@ -405,7 +391,7 @@ def _coefficient_tuples(field: ExtField, s: int, limit: int, samples: int):
 
 
 def verify_trace_nondegeneracy(
-    spec: CodeSpec, cap: int | None = None, field: ExtField | None = None
+    spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
 ) -> NondegeneracyReport:
     """Confirm that only the zero coefficient tuple gives the zero codeword.
 
@@ -436,7 +422,7 @@ class ShiftLemmaReport(namedtuple("ShiftLemmaReport", "checked mismatches")):
 def verify_shift_lemma(
     spec: CodeSpec,
     samples: int = 100,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
     field: ExtField | None = None,
 ) -> ShiftLemmaReport:
     """Check that the one-step cyclic shift of the word of (b_j) is the word of

@@ -244,8 +244,7 @@ def test_c6_property_suites():
     _report(6, "property suites", failures)
 
 
-def test_c7_negative_paths(monkeypatch, capsys):
-    monkeypatch.delenv("QCENUM_ORACLE_CAP", raising=False)
+def test_c7_negative_paths(capsys):
     failures = []
     try:
         validate_spec(2, 4, [1, 3, 5])

@@ -10,14 +10,9 @@ from qcenum import cli, oracle
 from qcenum.closed_form import ClosedFormTable, bch2_binary_twoprimes
 from qcenum.enumeration import IndexTable, multiplicity_table
 from qcenum.numth import factorize, validate_spec
-from qcenum.oracle import ENV_CAP
+from qcenum.oracle import DEFAULT_ORACLE_CAP
 from reference import limited_factored_form, limited_factorize
 from test_numth import FACTORIZE_VALUES
-
-
-@pytest.fixture(autouse=True)
-def clean_cap_env(monkeypatch):
-    monkeypatch.delenv(ENV_CAP, raising=False)
 
 
 def run(capsys, *argv):
@@ -260,6 +255,7 @@ def test_closed_form_discrepancy_exits_three(capsys, monkeypatch):
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--zeros", "1")
     assert code == 0
+    assert out.splitlines()[0] == "verify q=2 n=4 zeros=1 (cap 256)"
     assert out.splitlines()[-1] == "PASS"
     assert "histogram match: PASS" in out
     assert "distinct codes: 67 of 67" in out
@@ -272,6 +268,7 @@ def test_verify_json(capsys):
     )
     assert code == 0
     record = json.loads(out)
+    assert record["cap"] == DEFAULT_ORACLE_CAP
     assert record["ok"] is True
     assert record["histogram_match"] is True
     assert record["distinct_codes"] == 36
@@ -284,6 +281,14 @@ def test_verify_json(capsys):
             {"index": 4, "count": "24"},
         ]
         assert record[side]["index_N_count"] == "0"
+    # the cap reported is the cap admitted with
+    code, out, _ = run(
+        capsys, "verify", "--q", "17", "--n", "2", "--zeros", "1", "--cap", "300",
+        "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["cap"], record["ok"]) == (300, True)
 
 
 def test_verify_builds_its_field_once(capsys, monkeypatch):
@@ -327,20 +332,14 @@ def test_verify_cap_exceeded_exits_two(capsys):
     assert "error: CapExceededError" in err
 
 
-def test_env_cap_reaches_cli(capsys, monkeypatch):
-    # without the env var the job fits the default cap
-    code, _, _ = run(capsys, "verify", "--q", "3", "--n", "2", "--zeros", "1")
-    assert code == 0
-    # a lowered env cap rejects the same job
-    monkeypatch.setenv(ENV_CAP, "8")
-    code, _, err = run(capsys, "verify", "--q", "3", "--n", "2", "--zeros", "1")
-    assert code == 2
-    assert "error: CapExceededError" in err
-    # malformed env value is a usage error
-    monkeypatch.setenv(ENV_CAP, "many")
-    code, _, err = run(capsys, "verify", "--q", "3", "--n", "2", "--zeros", "1")
-    assert code == 2
-    assert "error: InvalidParameterError" in err
+def test_verify_reads_no_environment(capsys, monkeypatch):
+    argv = ("verify", "--q", "3", "--n", "2", "--zeros", "1")
+    monkeypatch.delenv("QCENUM_ORACLE_CAP", raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    for value in ("8", "many"):
+        monkeypatch.setenv("QCENUM_ORACLE_CAP", value)
+        assert run(capsys, *argv) == unset
 
 
 def test_short_coset_exits_two(capsys):

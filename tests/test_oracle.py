@@ -14,10 +14,8 @@ from qcenum.numth import InvalidParameterError, factorize, is_prime, validate_sp
 from qcenum.oracle import (
     CapExceededError,
     DEFAULT_ORACLE_CAP,
-    ENV_CAP,
     WALK_BUDGET,
     build_subcode,
-    effective_cap,
     enumerate_subspaces,
     measured_histogram,
     oracle_field,
@@ -342,16 +340,14 @@ def test_distinctness_counts():
     # under the cap on q^n, over the walk budget; a raised cap does not help;
     # a tuple of byte-lane rows at odd q costs 8 lane bits
     [
-        (2, 6, [1, 3], None, 7980625),
+        (2, 6, [1, 3], DEFAULT_ORACLE_CAP, 7980625),
         (2, 9, [1], 512, 8283458),
-        (5, 2, [1, 2, 3, 4, 7, 8], None, 262144),
-        (11, 2, [1, 2, 3, 4, 5], None, 537824),
-        (3, 3, [1, 2, 4, 5], None, 614656),
+        (5, 2, [1, 2, 3, 4, 7, 8], DEFAULT_ORACLE_CAP, 262144),
+        (11, 2, [1, 2, 3, 4, 5], DEFAULT_ORACLE_CAP, 537824),
+        (3, 3, [1, 2, 4, 5], DEFAULT_ORACLE_CAP, 614656),
     ],
 )
 def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples, monkeypatch):
-    monkeypatch.delenv(ENV_CAP, raising=False)
-
     def unreachable(*args):
         raise AssertionError("the walk started")
 
@@ -371,7 +367,6 @@ def test_walk_over_the_limit_is_refused_up_front(walk, q, n, zeros, cap, tuples,
     ],
 )
 def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
-    monkeypatch.delenv(ENV_CAP, raising=False)
     spec = validate_spec(q, n, zeros)
     assert grand_total(spec) == tuples <= WALK_BUDGET // (1 if q == 2 else 8)
     # with no subspaces to yield, the admitted walk visits the zero tuple alone
@@ -384,7 +379,6 @@ def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
 def test_walk_at_the_budget_is_admitted_and_one_tuple_more_refused(q, n, tuples, monkeypatch):
     # one zero, so a walk has subspace_total + 1 tuples, costing exactly
     # WALK_BUDGET lane bits at 1 bit a tuple over F_2 and 8 over odd q
-    monkeypatch.delenv(ENV_CAP, raising=False)
     spec = validate_spec(q, n, [1])
     monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
     monkeypatch.setattr(oracle, "subspace_total", lambda n, q: tuples - 1)
@@ -498,25 +492,14 @@ def test_checks_reject_a_field_of_another_spec(check):
 
 
 @pytest.mark.parametrize("check", FIELD_CHECKS)
-def test_checks_reject_a_given_field_over_the_cap(check, monkeypatch):
-    monkeypatch.delenv(ENV_CAP, raising=False)
+def test_checks_reject_a_given_field_over_the_cap(check):
     spec = validate_spec(2, 10, [1])
     with pytest.raises(CapExceededError):
         check(spec, field=build_field(2, 10))
 
 
-def test_effective_cap_precedence(monkeypatch):
-    monkeypatch.delenv(ENV_CAP, raising=False)
-    assert effective_cap(None) == DEFAULT_ORACLE_CAP
-    monkeypatch.setenv(ENV_CAP, "2048")
-    assert effective_cap(None) == 2048
-    assert effective_cap(64) == 64  # explicit argument wins
-    monkeypatch.setenv(ENV_CAP, "not-a-number")
-    with pytest.raises(InvalidParameterError):
-        effective_cap(None)
-
-
-def test_env_cap_unlocks_larger_fields(monkeypatch):
-    monkeypatch.setenv(ENV_CAP, "1024")
+def test_cap_argument_unlocks_larger_fields():
     spec = validate_spec(2, 10, [1])
-    assert oracle_field(spec).size == 1024
+    with pytest.raises(CapExceededError):
+        oracle_field(spec)
+    assert oracle_field(spec, cap=1024).size == 1024

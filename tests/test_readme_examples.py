@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from qcenum import cli
-from qcenum.oracle import ENV_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 INDENT = "    "
@@ -40,8 +39,7 @@ def test_readme_has_every_example():
 
 
 @pytest.mark.parametrize("argv,shown", EXAMPLES, ids=[argv for argv, _ in EXAMPLES])
-def test_readme_example(monkeypatch, capsys, argv, shown):
-    monkeypatch.delenv(ENV_CAP, raising=False)
+def test_readme_example(capsys, argv, shown):
     code = cli.main(shlex.split(argv))
     out, err = capsys.readouterr()
     assert code == 0, err
