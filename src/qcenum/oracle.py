@@ -9,7 +9,9 @@ the zero space, and a subcode is the tuple of its RREF generator rows.  A row
 is a word of length N = q^n - 1 packed into an int, one lane per digit: bit k
 for q = 2, reduced by XOR; byte k for odd q, reduced lane-parallel by bignum
 arithmetic and a bytes.translate through a mod-q table.  It is shifted by a
-masked rotate.  _reduce and _rref are the one row-space helper pair.  The
+masked rotate.  _reduce and _extend are the one row-space helper pair: a walk
+row-reduces the words of each head, the spaces of every zero but the last,
+once, and build_subcode extends a copy by each last space's words.  The
 trace form is evaluated in one place, _trace_row, which caches each word as a
 row, so a walk over one field builds each word once; the shift check and the
 nondegeneracy check sum those rows (a coefficient tuple annihilates when its
@@ -44,7 +46,7 @@ NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
 NONDEGENERACY_SAMPLES = 200
 SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
 # the most one walk may cost, in lane bits: its tuples times its lane width,
-# 1 bit over F_2 and 8 over odd q, where a tuple takes 3-8 times as long
+# 1 bit over F_2 and 8 over odd q, where a tuple takes 3-10 times as long
 WALK_BUDGET = 1 << 20
 MAX_LANE_PRIME = 127  # largest odd p whose lane sums, below 2(p - 1), fit a byte
 
@@ -141,14 +143,14 @@ def _shift(p: int, N: int, row: int, ell: int) -> int:
     return ((row << bits) | (row >> (total - bits))) & ((1 << total) - 1)
 
 
-def _rref(p: int, rows) -> tuple:
-    """Canonical reduced row-echelon basis of the span of rows, leads ascending.
+def _extend(p: int, pivots: dict, rows) -> None:
+    """Add rows to RREF pivot rows in place, keyed by lead; sorting the items
+    by key gives the canonical reduced row-echelon basis of the span.
 
     Each new pivot row is reduced against the earlier ones and scaled to lead
     1; the earlier ones are then reduced against it, so the pivot rows stay
     reduced throughout.
     """
-    pivots: dict = {}
     for row in rows:
         row = _reduce(p, pivots, row)
         if not row:
@@ -167,7 +169,6 @@ def _rref(p: int, rows) -> tuple:
                 if prow >> key & 255:
                     pivots[c] = _reduce(p, new, prow)
         pivots[key] = row
-    return tuple(row for _, row in sorted(pivots.items()))
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -237,16 +238,31 @@ def _code_row(field: ExtField, zeros, coeffs) -> int:
     return total
 
 
-def build_subcode(field: ExtField, spec: CodeSpec, spaces) -> tuple:
+def _head_pivots(field: ExtField, spec: CodeSpec, head) -> dict:
+    """The pivot rows, keyed as in _extend, of the trace words of every basis
+    element of head[j] at zero j, head holding the spaces of the first zeros."""
+    pivots: dict = {}
+    words = [_trace_row(field, i, b) for i, basis in zip(spec.zeros, head) for b in basis]
+    _extend(spec.q, pivots, words)
+    return pivots
+
+
+def build_subcode(field: ExtField, spec: CodeSpec, spaces, base: dict | None = None) -> tuple:
     """RREF rows of the span of the trace words of every basis element of
     spaces[j] at zero j.
 
-    The words come through _trace_row's cache; the rows are reduced afresh
-    on every call.
+    base is _head_pivots of every space but the last, and is built here when
+    not given.  It is copied, never changed, and the copy is extended by the
+    last space's words only, so a walk builds each head's base once for all
+    its last spaces.  RREF is canonical, so the rows are those of a rebuild
+    from every word.
     """
-    return _rref(
-        spec.q, [_trace_row(field, i, b) for i, basis in zip(spec.zeros, spaces) for b in basis]
-    )
+    if base is None:
+        base = _head_pivots(field, spec, spaces[:-1])
+    pivots = dict(base)
+    i = spec.zeros[-1]
+    _extend(spec.q, pivots, [_trace_row(field, i, b) for b in spaces[-1]])
+    return tuple([pivots[key] for key in sorted(pivots)])
 
 
 def qc_index(spec: CodeSpec, rows) -> int:
@@ -266,13 +282,9 @@ def qc_index(spec: CodeSpec, rows) -> int:
         raise InvalidParameterError("the zero code has no shift index")
     q, N = spec.q, spec.N
     pivots = {_lead_key(q, row): row for row in rows}
-
-    def closed(ell: int) -> bool:
-        return all(not _reduce(q, pivots, _shift(q, N, row, ell)) for row in rows)
-
     d = N
     for r, _ in factorize(N):
-        while d % r == 0 and closed(d // r):
+        while d % r == 0 and all(not _reduce(q, pivots, _shift(q, N, row, d // r)) for row in rows):
             d //= r
     return d
 
@@ -283,8 +295,10 @@ def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None
     subcode's rows, each when given; returns the tuple count and the
     colliding pairs of tuples.
 
-    A walk whose tuples times lane width exceeds WALK_BUDGET is refused
-    before any subspace is enumerated.
+    The tuples come in product order, nested: each head, the spaces of every
+    zero but the last, has its pivots built once, which build_subcode extends
+    by each last space in turn.  A walk whose tuples times lane width exceeds
+    WALK_BUDGET is refused before any subspace is enumerated.
     """
     tuples = (subspace_total(spec.n, spec.q) + 1) ** spec.s
     width = 1 if spec.q == 2 else 8
@@ -296,20 +310,23 @@ def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None
     choices = [()] + list(enumerate_subspaces(field))
     collisions = []
     total = 0
-    for spaces in product(choices, repeat=spec.s):
-        rows = build_subcode(field, spec, spaces)
-        total += 1
-        if tally is not None:
-            # the zero tuple is read from the spaces, not the rows: taking the
-            # rows would assume the distinctness and nondegeneracy this oracle
-            # checks; the zero code is fixed by every shift
-            ell = 1 if not any(spaces) else qc_index(spec, rows)
-            tally[ell] = tally.get(ell, 0) + 1
-        if seen is not None:
-            if rows in seen:
-                collisions.append((seen[rows], spaces))
-            else:
-                seen[rows] = spaces
+    for head in product(choices, repeat=spec.s - 1):
+        base = _head_pivots(field, spec, head)
+        for last in choices:
+            spaces = head + (last,)
+            rows = build_subcode(field, spec, spaces, base)
+            total += 1
+            if tally is not None:
+                # the zero tuple is read from the spaces, not the rows: taking
+                # the rows would assume the distinctness and nondegeneracy this
+                # oracle checks; the zero code is fixed by every shift
+                ell = 1 if not any(spaces) else qc_index(spec, rows)
+                tally[ell] = tally.get(ell, 0) + 1
+            if seen is not None:
+                if rows in seen:
+                    collisions.append((seen[rows], spaces))
+                else:
+                    seen[rows] = spaces
     return total, tuple(collisions)
 
 

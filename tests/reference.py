@@ -2,11 +2,12 @@
 element with given coordinates, subfields, primitive elements, polynomials
 over F_p with trial division and schoolbook multiplication, the field modulo
 the smallest irreducible polynomial, row reduction over digit lists, packing
-digits into the oracle's row lanes and back, subspace spans and fields of
-scalars, Gaussian binomials, the pairwise lcm fold, the subspace tuples a
-shift fixes, codewords evaluated point by point, subcodes and their shift
-index on digit tuples, trace annihilators, the tuple total, and factoring by
-trial division over odd numbers up to a limit.
+digits into the oracle's row lanes and back, oracle rows row-reduced from
+scratch, subspace spans and fields of scalars, Gaussian binomials, the
+pairwise lcm fold, the subspace tuples a shift fixes, codewords evaluated
+point by point, subcodes and their shift index on digit tuples, trace
+annihilators, the tuple total, and factoring by trial division over odd
+numbers up to a limit.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -17,6 +18,7 @@ space.
 from itertools import product
 from math import gcd, lcm
 
+from qcenum import oracle
 from qcenum.counting import subspace_total
 from qcenum.gf import ExtField
 from qcenum.index_calc import ContributionMatrix, subfield_index
@@ -175,6 +177,15 @@ def unpacked(row: int, N: int, p: int = 2) -> tuple[int, ...]:
     """The digit tuple of an oracle row of length N: digit k is lane k."""
     width = _lane_width(p)
     return tuple(row >> (width * k) & ((1 << width) - 1) for k in range(N))
+
+
+def rref_rows(p: int, rows) -> tuple[int, ...]:
+    """Canonical reduced row-echelon basis of the span of oracle rows, leads
+    ascending, built from scratch: oracle._extend over every row from no
+    pivots, sorted by lead."""
+    pivots: dict = {}
+    oracle._extend(p, pivots, rows)
+    return tuple(row for _, row in sorted(pivots.items()))
 
 
 # -- subspaces ------------------------------------------------------------------

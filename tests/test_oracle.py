@@ -1,5 +1,6 @@
 """Explicit-field brute force against the symbolic engines."""
 
+import gc
 import random
 from itertools import product
 
@@ -37,6 +38,7 @@ from reference import (
     primitive_elements,
     reduce_digits,
     rref_digits,
+    rref_rows,
     smallest_irreducible_field,
     subfield,
     subspace_spanned,
@@ -198,7 +200,7 @@ def test_lanes_hold_at_their_bounds(p):
     # the fixed rows span a space with free columns, so the echelon form is
     # not the identity
     fixed = rows[:5]
-    got = oracle._rref(p, [packed(row, p) for row in fixed])
+    got = rref_rows(p, [packed(row, p) for row in fixed])
     assert tuple(unpacked(row, N, p) for row in got) == rref_digits(p, fixed)
     assert 1 < len(got) < N
 
@@ -242,6 +244,62 @@ def test_prime_descent_matches_the_ascending_reference(q, n, zeros, monkeypatch)
     # some index lies below a repeated prime power of N
     repeated = [r for r, e in factors if e > 1]
     assert not repeated or any(spec.N // ell % (r * r) == 0 for ell in seen for r in repeated)
+
+
+@pytest.mark.parametrize(
+    "q, n, zeros",
+    # three zeros give two-space heads; at q = 17 each subtraction takes the
+    # multiply-table translate first
+    [(2, 4, [1, 3]), (2, 4, [1, 3, 7]), (3, 3, [1, 2]), (5, 2, [1, 2]), (17, 2, [1, 2])],
+)
+def test_nested_walk_matches_the_rebuild(q, n, zeros, monkeypatch):
+    # every tuple's rows, extended from its head's base, are the rows rebuilt
+    # from all of its words; the walk visits the tuples in product order, so
+    # its tally, seen and collisions are those of a walk that rebuilds each
+    spec = validate_spec(q, n, zeros)
+    field = oracle_field(spec, cap=300)  # admits 17^2
+    order = product([()] + list(enumerate_subspaces(field)), repeat=spec.s)
+    want_tally, want_seen, want_collisions = {}, {}, []
+    build = oracle.build_subcode
+
+    def rebuilt(field, spec, spaces, base):
+        assert spaces == next(order)
+        rows = build(field, spec, spaces, base)
+        want = rref_rows(
+            q, [oracle._trace_row(field, i, b) for i, basis in zip(zeros, spaces) for b in basis]
+        )
+        assert rows == want, spaces
+        ell = qc_index(spec, want) if any(spaces) else 1
+        want_tally[ell] = want_tally.get(ell, 0) + 1
+        if want in want_seen:
+            want_collisions.append((want_seen[want], spaces))
+        else:
+            want_seen[want] = spaces
+        return rows
+
+    monkeypatch.setattr(oracle, "build_subcode", rebuilt)
+    tally, seen = {}, {}
+    total, collisions = oracle._walk(field, spec, tally, seen)
+    assert next(order, None) is None
+    assert total == grand_total(spec)
+    assert (tally, seen, collisions) == (want_tally, want_seen, tuple(want_collisions))
+
+
+@pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 3, [1, 2])])
+def test_a_walk_leaves_no_cyclic_garbage(q, n, zeros):
+    # reference counting frees all a walk builds; a self-referencing closure,
+    # such as a recursive generator of heads, leaves a cycle per walk for the
+    # collector, and the garbage raises peak RSS
+    spec = validate_spec(q, n, zeros)
+    gc.collect()
+    gc.disable()
+    try:
+        walk_subcodes(spec)
+        measured_histogram(spec)
+        verify_distinctness(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 2, [1, 2]), (3, 3, [1])])
