@@ -22,10 +22,11 @@ from .index_calc import contribution_matrix, index_set
 from .numth import CodeSpec, InvalidParameterError, prime_power_base, validate_spec
 from .oracle import (
     DEFAULT_ORACLE_CAP,
+    measured_histogram,
     oracle_field,
+    verify_distinctness,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
-    walk_subcodes,
 )
 
 EXIT_OK = 0
@@ -215,15 +216,16 @@ def cmd_closed_form(args) -> int:
 def cmd_verify(args) -> int:
     spec = validate_spec(args.q, args.n, args.zeros)
     field = oracle_field(spec, args.cap)
-    # first, so that an unusable sample count is rejected before the long runs
-    shift = verify_shift_lemma(spec, samples=args.samples, cap=args.cap, field=field)
-    measured, distinct = walk_subcodes(spec, cap=args.cap, field=field)
+    # the one walk; the other checks are ranks over the basis tuples
+    measured = measured_histogram(spec, cap=args.cap, field=field)
     symbolic = multiplicity_table(spec)
     histogram_ok = (
         measured.entries == symbolic.entries
         and measured.index_n_count == symbolic.index_n_count
     )
+    distinct = verify_distinctness(spec, cap=args.cap, field=field)
     nondegen = verify_trace_nondegeneracy(spec, cap=args.cap, field=field)
+    shift = verify_shift_lemma(spec, cap=args.cap, field=field)
     ok = histogram_ok and distinct.ok and nondegen.ok and shift.ok
     if args.format == "json":
         record = {
@@ -350,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ORACLE_CAP,
         help="max allowed q^n for oracle work (default %(default)s)",
     )
-    p.add_argument("--samples", type=int, default=100, help="samples for the shift check")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("subspaces", help="per-subfield maximal subspace counts")

@@ -13,22 +13,24 @@ masked rotate.  _reduce and _extend are the one row-space helper pair: a walk
 row-reduces the words of each head, the spaces of every zero but the last,
 once, and build_subcode extends a copy by each last space's words.  The
 trace form is evaluated in one place, _trace_row, which caches each word as a
-row, so a walk over one field builds each word once; the shift check and the
-nondegeneracy check sum those rows (a coefficient tuple annihilates when its
-row is zero).  The two sampled checks draw their coefficient tuples from one
-pool, _coefficient_tuples.
+row, so a walk over one field builds each word once.
 
-Everything here is exhaustive, so runs are bounded twice.  The cap bounds the
-field size q^n.  Each check (measured_histogram, verify_distinctness,
-walk_subcodes, verify_trace_nondegeneracy, verify_shift_lemma) first calls
-oracle_field, the one admission check: a caller's field must be F_{q^n} of the
-spec, q must be prime, q^n within the cap and q within a byte lane; the field
-is then the caller's or a new F_{q^n}.  The default cap keeps fields at desk
-scale; raise it per call with cap=, the one way to set it.
-The walk budget bounds the work, in _walk: there are subspace_total(n, q)
-subspaces and (that + 1)^s subspace tuples, a walk costs its tuple count times
-its lane width in bits, and one costing more than WALK_BUDGET is refused
-before it enumerates a subspace, whatever the cap.
+The word of a coefficient tuple is F_p-linear in the tuple, because the trace
+is, so three checks are exact ranks over the s n basis tuples and visit no
+subspace: verify_distinctness and verify_trace_nondegeneracy need the basis
+words to have rank s n, and verify_shift_lemma needs the differences of the
+two sides of the lemma to have rank 0.  Only measured_histogram walks.
+
+Each check (measured_histogram, verify_distinctness,
+verify_trace_nondegeneracy, verify_shift_lemma) first calls oracle_field, the
+one admission check: a caller's field must be F_{q^n} of the spec, q must be
+prime, q^n within the cap and q within a byte lane; the field is then the
+caller's or a new F_{q^n}.  The default cap keeps fields at desk scale; raise
+it per call with cap=, the one way to set it.  The walk budget bounds the
+walk, in _walk: there are subspace_total(n, q) subspaces and (that + 1)^s
+subspace tuples, a walk costs its tuple count times its lane width in bits,
+and one costing more than WALK_BUDGET is refused before it enumerates a
+subspace, whatever the cap.
 """
 
 from collections import namedtuple
@@ -41,10 +43,6 @@ from .gf import ExtField, build_field
 from .numth import CodeSpec, InvalidParameterError, factorize, is_prime
 
 DEFAULT_ORACLE_CAP = 256
-SEED = 20240915  # seeds every sampled check, so a run is reproducible
-NONDEGENERACY_SAMPLE_LIMIT = 1 << 14  # above this many tuples, sample
-NONDEGENERACY_SAMPLES = 200
-SHIFT_SAMPLE_LIMIT = 1 << 12  # above this many tuples, sample
 # the most one walk may cost, in lane bits: its tuples times its lane width,
 # 1 bit over F_2 and 8 over odd q, where a tuple takes 3-10 times as long
 WALK_BUDGET = 1 << 20
@@ -126,6 +124,16 @@ def _reduce(p: int, pivots: dict, row: int) -> int:
                 row += _translate(prow, mul[p - f])
             row = _translate(row, mod)
     return row
+
+
+def _minus(p: int, row: int, prow: int) -> int:
+    """row - prow, lane by lane: XOR for p = 2; for odd p, row plus prow
+    translated through the table of multiplication by p - 1, a sum below
+    2(p - 1) in every lane, translated mod p."""
+    if p == 2:
+        return row ^ prow
+    mod, mul = _lane_tables(p)
+    return _translate(row + _translate(prow, mul[p - 1]), mod)
 
 
 def _lead_key(p: int, row: int) -> int:
@@ -227,17 +235,6 @@ def _trace_row(field: ExtField, exponent: int, coeff: int) -> int:
     return int.from_bytes(bytes(word), "little")
 
 
-def _code_row(field: ExtField, zeros, coeffs) -> int:
-    """The row of the codeword k -> trace(sum_j coeffs[j] * alpha^(k * zeros[j])):
-    the lane-wise sum of the trace rows of its terms."""
-    p = field.p
-    total = 0
-    for i, b in zip(zeros, coeffs):
-        row = _trace_row(field, i, b)
-        total = total ^ row if p == 2 else _translate(total + row, _lane_tables(p)[0])
-    return total
-
-
 def _head_pivots(field: ExtField, spec: CodeSpec, head) -> dict:
     """The pivot rows, keyed as in _extend, of the trace words of every basis
     element of head[j] at zero j, head holding the spaces of the first zeros."""
@@ -289,11 +286,9 @@ def qc_index(spec: CodeSpec, rows) -> int:
     return d
 
 
-def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None):
+def _walk(field: ExtField, spec: CodeSpec, tally: dict) -> None:
     """One pass over every tuple of subspaces, the zero space included, and
-    its subcode.  Tallies each tuple's index into tally and keys seen on each
-    subcode's rows, each when given; returns the tuple count and the
-    colliding pairs of tuples.
+    its subcode, tallying each tuple's index into tally.
 
     The tuples come in product order, nested: each head, the spaces of every
     zero but the last, has its pivots built once, which build_subcode extends
@@ -308,26 +303,16 @@ def _walk(field: ExtField, spec: CodeSpec, tally: dict | None, seen: dict | None
             f"lane bits ({width} a tuple), over the walk budget {WALK_BUDGET}"
         )
     choices = [()] + list(enumerate_subspaces(field))
-    collisions = []
-    total = 0
     for head in product(choices, repeat=spec.s - 1):
         base = _head_pivots(field, spec, head)
         for last in choices:
             spaces = head + (last,)
             rows = build_subcode(field, spec, spaces, base)
-            total += 1
-            if tally is not None:
-                # the zero tuple is read from the spaces, not the rows: taking
-                # the rows would assume the distinctness and nondegeneracy this
-                # oracle checks; the zero code is fixed by every shift
-                ell = 1 if not any(spaces) else qc_index(spec, rows)
-                tally[ell] = tally.get(ell, 0) + 1
-            if seen is not None:
-                if rows in seen:
-                    collisions.append((seen[rows], spaces))
-                else:
-                    seen[rows] = spaces
-    return total, tuple(collisions)
+            # the zero tuple is read from the spaces, not the rows: taking the
+            # rows would assume the distinctness and nondegeneracy this oracle
+            # checks; the zero code is fixed by every shift
+            ell = 1 if not any(spaces) else qc_index(spec, rows)
+            tally[ell] = tally.get(ell, 0) + 1
 
 
 def measured_histogram(
@@ -344,16 +329,37 @@ def measured_histogram(
     """
     field = oracle_field(spec, cap, field)
     tally: dict[int, int] = {}
-    _walk(field, spec, tally, None)
+    _walk(field, spec, tally)
     return tabulate(spec, tally, options)
 
 
-# -- verification reports ------------------------------------------------------
+# -- checks by linearity ---------------------------------------------------------
+#
+# The word of a coefficient tuple (b_j), k -> trace(sum_j b_j alpha^(k i_j)),
+# is F_p-linear in the tuple, so each check below is a rank over the s n basis
+# tuples, which set b_j = p^r at one zero j, for r < n, and 0 at the others:
+# an exact count over all p^(s n) tuples, never a sample.
 
 
-class DistinctnessReport(
-    namedtuple("DistinctnessReport", "total_tuples distinct_codes collisions", defaults=((),))
-):
+def _basis(field: ExtField, spec: CodeSpec) -> list[tuple[int, int]]:
+    """The zero i_j and the coefficient p^r of each basis tuple."""
+    return [(i, field.p**r) for i in spec.zeros for r in range(field.m)]
+
+
+def _rank(p: int, rows) -> int:
+    """The dimension of the span of rows."""
+    pivots: dict = {}
+    _extend(p, pivots, rows)
+    return len(pivots)
+
+
+def _word_rank(field: ExtField, spec: CodeSpec) -> int:
+    """The rank of the words of the basis tuples, s n when only the zero
+    tuple has the zero word."""
+    return _rank(field.p, [_trace_row(field, i, b) for i, b in _basis(field, spec)])
+
+
+class DistinctnessReport(namedtuple("DistinctnessReport", "total_tuples distinct_codes")):
     __slots__ = ()
 
     @property
@@ -364,68 +370,38 @@ class DistinctnessReport(
 def verify_distinctness(
     spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
 ) -> DistinctnessReport:
-    """Check that distinct subspace tuples give distinct subcodes (as row spaces)."""
+    """Check that distinct subspace tuples give distinct subcodes (as row spaces).
+
+    The subcode of (V_j) is the image of the direct sum of the V_j under the
+    word map.  When the map is injective, distinct sums have distinct images,
+    so all total_tuples codes are distinct.  A nonzero kernel vector (c_j)
+    makes two tuples collide: (<c_j>)_j, and the same tuple with its first
+    nonzero space made zero.  So distinct_codes is total_tuples when the word
+    rank is s n and None otherwise; no tuple is visited.
+    """
     field = oracle_field(spec, cap, field)
-    seen: dict[tuple, tuple] = {}
-    total, collisions = _walk(field, spec, None, seen)
-    return DistinctnessReport(total, len(seen), collisions)
+    total = (subspace_total(spec.n, spec.q) + 1) ** spec.s
+    return DistinctnessReport(total, total if _word_rank(field, spec) == spec.s * spec.n else None)
 
 
-def walk_subcodes(
-    spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
-) -> tuple[IndexTable, DistinctnessReport]:
-    """measured_histogram and verify_distinctness from one walk over the tuples."""
-    field = oracle_field(spec, cap, field)
-    tally: dict[int, int] = {}
-    seen: dict[tuple, tuple] = {}
-    total, collisions = _walk(field, spec, tally, seen)
-    return tabulate(spec, tally), DistinctnessReport(total, len(seen), collisions)
-
-
-class NondegeneracyReport(namedtuple("NondegeneracyReport", "checked annihilators exhaustive")):
+class NondegeneracyReport(namedtuple("NondegeneracyReport", "checked annihilators")):
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
         # only the all-zero coefficient tuple may annihilate every evaluation point
-        return self.annihilators == 1 if self.exhaustive else self.annihilators == 0
-
-
-def _coefficient_tuples(field: ExtField, s: int, limit: int, samples: int):
-    """Every coefficient tuple of length s when there are at most limit of
-    them, else samples seeded random nonzero tuples."""
-    if field.size**s <= limit:
-        yield from product(range(field.size), repeat=s)
-        return
-    import random  # here, not at the top: `import qcenum.cli` stays without it
-
-    rng = random.Random(SEED)
-    for _ in range(samples):
-        coeffs = (0,) * s
-        while not any(coeffs):
-            coeffs = tuple(rng.randrange(field.size) for _ in range(s))
-        yield coeffs
+        return self.annihilators == 1
 
 
 def verify_trace_nondegeneracy(
     spec: CodeSpec, cap: int = DEFAULT_ORACLE_CAP, field: ExtField | None = None
 ) -> NondegeneracyReport:
-    """Confirm that only the zero coefficient tuple gives the zero codeword.
-
-    Exhaustive up to NONDEGENERACY_SAMPLE_LIMIT tuples; above that it
-    spot-checks NONDEGENERACY_SAMPLES random nonzero tuples, which must all
-    fail to annihilate.
-    """
+    """Count the coefficient tuples whose word is zero, which should be the
+    zero tuple alone: the kernel of the word map, p^(s n - rank) of the
+    p^(s n) tuples."""
     field = oracle_field(spec, cap, field)
-    pool = list(
-        _coefficient_tuples(field, spec.s, NONDEGENERACY_SAMPLE_LIMIT, NONDEGENERACY_SAMPLES)
-    )
-    annihilators = sum(not _code_row(field, spec.zeros, c) for c in pool)
-    return NondegeneracyReport(
-        checked=len(pool),
-        annihilators=annihilators,
-        exhaustive=field.size**spec.s <= NONDEGENERACY_SAMPLE_LIMIT,
-    )
+    dim = spec.s * spec.n
+    return NondegeneracyReport(field.p**dim, field.p ** (dim - _word_rank(field, spec)))
 
 
 class ShiftLemmaReport(namedtuple("ShiftLemmaReport", "checked mismatches")):
@@ -438,31 +414,29 @@ class ShiftLemmaReport(namedtuple("ShiftLemmaReport", "checked mismatches")):
 
 def verify_shift_lemma(
     spec: CodeSpec,
-    samples: int = 100,
     cap: int = DEFAULT_ORACLE_CAP,
     field: ExtField | None = None,
+    *,
+    samples: int | None = None,
 ) -> ShiftLemmaReport:
     """Check that the one-step cyclic shift of the word of (b_j) is the word of
-    (b_j * alpha^(-i_j)).
+    (b_j * alpha^(-i_j)), and count the tuples where it is not.
 
-    Exhaustive up to SHIFT_SAMPLE_LIMIT tuples; above that it checks samples
-    seeded random nonzero tuples.  samples must be at least 1 on either path,
-    so that a sampled check cannot pass vacuously and a bad count is never
-    silently ignored.
+    Both sides are linear in the tuple, so their difference is too: the
+    matching tuples are its kernel, p^(s n - rank) of the p^(s n), rank being
+    that of the differences on the basis tuples.  samples is ignored: it is
+    kept because bench/workloads.py still passes it, until ROADMAP item 10
+    drops it there.
     """
     field = oracle_field(spec, cap, field)
-    if samples < 1:
-        raise InvalidParameterError(f"samples = {samples} must be at least 1")
-    total = field.size**spec.s
-    planned = total if total <= SHIFT_SAMPLE_LIMIT else samples
-    scale = [field.pow(field.alpha, -i) for i in spec.zeros]
-    checked = 0
-    mismatches = 0
-    for coeffs in _coefficient_tuples(field, spec.s, SHIFT_SAMPLE_LIMIT, samples):
-        shifted = _shift(field.p, field.order, _code_row(field, spec.zeros, coeffs), 1)
-        scaled = tuple(field.mul(b, s) for b, s in zip(coeffs, scale))
-        if shifted != _code_row(field, spec.zeros, scaled):
-            mismatches += 1
-        checked += 1
-    assert checked == planned
-    return ShiftLemmaReport(checked=checked, mismatches=mismatches)
+    p, N = field.p, field.order
+    diffs = [
+        _minus(
+            p,
+            _shift(p, N, _trace_row(field, i, b), 1),
+            _trace_row(field, i, field.mul(b, field.pow(field.alpha, -i))),
+        )
+        for i, b in _basis(field, spec)
+    ]
+    dim = spec.s * spec.n
+    return ShiftLemmaReport(p**dim, p**dim - p ** (dim - _rank(p, diffs)))

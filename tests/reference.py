@@ -5,9 +5,9 @@ the smallest irreducible polynomial, row reduction over digit lists, packing
 digits into the oracle's row lanes and back, oracle rows row-reduced from
 scratch, subspace spans and fields of scalars, Gaussian binomials, the
 pairwise lcm fold, the subspace tuples a shift fixes, codewords evaluated
-point by point, subcodes and their shift index on digit tuples, trace
-annihilators, the tuple total, and factoring by trial division over odd
-numbers up to a limit.
+point by point, subcodes and their shift index on digit tuples, colliding
+subcodes found by a literal walk, trace annihilators, the tuple total, and
+factoring by trial division over odd numbers up to a limit.
 
 pytest does not collect this module (its name has no test_ prefix); test
 modules import it from this directory.  A subspace is the tuple of its RREF
@@ -336,6 +336,21 @@ def digit_qc_index(spec: CodeSpec, rows) -> int:
         if all(not any(reduce_digits(spec.q, pivots, row[-ell:] + row[:-ell])) for row in rows):
             return ell
     raise AssertionError("unreachable: the N-shift is the identity")
+
+
+def literal_collisions(field: ExtField, spec: CodeSpec) -> list[tuple[tuple, tuple]]:
+    """The pairs of subspace tuples, zero spaces included, with equal
+    subcodes, found by building every tuple's subcode and keying each on its
+    RREF rows: evidence of another kind than the rank of the basis words."""
+    seen: dict[tuple, tuple] = {}
+    collisions = []
+    for spaces in product([()] + list(enumerate_subspaces(field)), repeat=spec.s):
+        rows = oracle.build_subcode(field, spec, spaces)
+        if rows in seen:
+            collisions.append((seen[rows], spaces))
+        else:
+            seen[rows] = spaces
+    return collisions
 
 
 def trace_annihilators(field: ExtField, exponents) -> list[tuple[int, ...]]:

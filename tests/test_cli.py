@@ -307,19 +307,16 @@ def test_verify_builds_its_field_once(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
-    walk = cli.walk_subcodes
-
     def fake_walk(spec, cap=None, field=None):
         real = cli.multiplicity_table(spec)
         entries = dict(real.entries)
         entries[5] = entries.get(5, 0) + 1
-        measured = IndexTable(
+        return IndexTable(
             spec=spec, entries=entries, index_n_count=real.index_n_count,
             options=real.options,
         )
-        return measured, walk(spec, cap=cap, field=field)[1]
 
-    monkeypatch.setattr(cli, "walk_subcodes", fake_walk)
+    monkeypatch.setattr(cli, "measured_histogram", fake_walk)
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "4", "--zeros", "1")
     assert code == 3
     assert "histogram match: FAIL" in out

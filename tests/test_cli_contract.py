@@ -18,11 +18,8 @@ CASES = [
     ("enumerate --q 2 --n 240 --zeros 1,3 --format json", 0),
     # there is no field with 6 elements
     ("subspaces --q 6 --n 4", 2),
-    # a sampled shift check with no samples would pass vacuously
-    ("verify --q 5 --n 3 --zeros 1,2 --samples 0", 2),
-    # ... and an exhaustive one must still reject a count below 1
-    ("verify --q 2 --n 4 --zeros 1 --samples -3", 2),
-    ("verify --q 2 --n 4 --zeros 1 --samples 0", 2),
+    # the checks are exact; `--samples` is gone
+    ("verify --q 2 --n 4 --zeros 1 --samples 100", 2),
     ("enumerate --q 1 --n 4 --zeros 1", 2),
     ("subspaces --q 1 --n 4", 2),
     ("enumerate --q 2 --n 0 --zeros 1", 2),

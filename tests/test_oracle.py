@@ -6,12 +6,12 @@ from itertools import product
 
 import pytest
 
-from qcenum import oracle
+from qcenum import cli, oracle
 from qcenum.counting import maximal_counts, subspace_total
 from qcenum.enumeration import EnumerationOptions, multiplicity_table
 from qcenum.gf import build_field
 from qcenum.index_calc import index_contribution, subfield_index
-from qcenum.numth import InvalidParameterError, factorize, is_prime, validate_spec
+from qcenum.numth import CodeSpec, InvalidParameterError, factorize, is_prime, validate_spec
 from qcenum.oracle import (
     CapExceededError,
     DEFAULT_ORACLE_CAP,
@@ -24,7 +24,6 @@ from qcenum.oracle import (
     verify_distinctness,
     verify_shift_lemma,
     verify_trace_nondegeneracy,
-    walk_subcodes,
 )
 from reference import (
     classify_all_subspaces,
@@ -33,6 +32,7 @@ from reference import (
     digit_subcode,
     elements,
     grand_total,
+    literal_collisions,
     maximal_field_of,
     packed,
     primitive_elements,
@@ -254,12 +254,12 @@ def test_prime_descent_matches_the_ascending_reference(q, n, zeros, monkeypatch)
 )
 def test_nested_walk_matches_the_rebuild(q, n, zeros, monkeypatch):
     # every tuple's rows, extended from its head's base, are the rows rebuilt
-    # from all of its words; the walk visits the tuples in product order, so
-    # its tally, seen and collisions are those of a walk that rebuilds each
+    # from all of its words; the walk visits every tuple once, in product
+    # order, so its tally is that of a walk that rebuilds each
     spec = validate_spec(q, n, zeros)
     field = oracle_field(spec, cap=300)  # admits 17^2
     order = product([()] + list(enumerate_subspaces(field)), repeat=spec.s)
-    want_tally, want_seen, want_collisions = {}, {}, []
+    want_tally = {}
     build = oracle.build_subcode
 
     def rebuilt(field, spec, spaces, base):
@@ -271,18 +271,14 @@ def test_nested_walk_matches_the_rebuild(q, n, zeros, monkeypatch):
         assert rows == want, spaces
         ell = qc_index(spec, want) if any(spaces) else 1
         want_tally[ell] = want_tally.get(ell, 0) + 1
-        if want in want_seen:
-            want_collisions.append((want_seen[want], spaces))
-        else:
-            want_seen[want] = spaces
         return rows
 
     monkeypatch.setattr(oracle, "build_subcode", rebuilt)
-    tally, seen = {}, {}
-    total, collisions = oracle._walk(field, spec, tally, seen)
+    tally = {}
+    oracle._walk(field, spec, tally)
     assert next(order, None) is None
-    assert total == grand_total(spec)
-    assert (tally, seen, collisions) == (want_tally, want_seen, tuple(want_collisions))
+    assert sum(tally.values()) == grand_total(spec)
+    assert tally == want_tally
 
 
 @pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 3, [1, 2])])
@@ -294,7 +290,6 @@ def test_a_walk_leaves_no_cyclic_garbage(q, n, zeros):
     gc.collect()
     gc.disable()
     try:
-        walk_subcodes(spec)
         measured_histogram(spec)
         verify_distinctness(spec)
         assert gc.collect() == 0
@@ -303,12 +298,21 @@ def test_a_walk_leaves_no_cyclic_garbage(q, n, zeros):
 
 
 @pytest.mark.parametrize("q, n, zeros", [(2, 4, [1, 3]), (3, 2, [1, 2]), (3, 3, [1])])
-def test_one_walk_gives_both_checks(q, n, zeros):
+def test_one_walk_gives_both_checks(q, n, zeros, monkeypatch, capsys):
+    # distinctness is read from the rank of the basis words and builds no
+    # subcode, so `verify` builds each tuple's subcode once, for the histogram
     spec = validate_spec(q, n, zeros)
-    measured, distinct = walk_subcodes(spec)
-    assert measured == measured_histogram(spec)
-    assert distinct == verify_distinctness(spec)
-    assert distinct.ok and distinct.total_tuples == grand_total(spec)
+    total = grand_total(spec)
+    built = []
+    build = oracle.build_subcode
+    monkeypatch.setattr(oracle, "build_subcode", lambda *args: built.append(1) or build(*args))
+    distinct = verify_distinctness(spec)
+    assert distinct.ok and distinct.total_tuples == total
+    assert not built
+    argv = ["verify", "--q", str(q), "--n", str(n), "--zeros", ",".join(map(str, zeros))]
+    assert cli.main(argv) == 0
+    assert len(built) == total
+    assert f"distinct codes: {total} of {total} tuples: PASS" in capsys.readouterr().out
 
 
 def test_simplex_words_have_weight_eight():
@@ -385,14 +389,51 @@ def test_measured_histogram_respects_options(q, n, zeros, opts):
 def test_distinctness_counts():
     report = verify_distinctness(validate_spec(2, 4, [1]))
     assert (report.total_tuples, report.distinct_codes) == (67, 67)
-    assert report.ok and not report.collisions
+    assert report.ok
     report = verify_distinctness(validate_spec(3, 2, [1, 2]))
     assert (report.total_tuples, report.distinct_codes) == (36, 36)
     report = verify_distinctness(validate_spec(2, 4, [1, 3]))
     assert (report.total_tuples, report.distinct_codes) == (4489, 4489)
 
 
-@pytest.mark.parametrize("walk", [measured_histogram, verify_distinctness])
+@pytest.mark.parametrize(
+    "spec",
+    # the last one is not validated: exponent 5 has a coset of size 2 mod 15,
+    # so the word map has a kernel and two tuples share a code
+    [
+        validate_spec(2, 4, [1]),
+        validate_spec(3, 2, [1, 2]),
+        validate_spec(2, 4, [1, 3]),
+        CodeSpec(2, 4, (1, 5), 15),
+    ],
+    ids=str,
+)
+def test_distinctness_matches_literal_collisions(spec):
+    # the rank of the basis words against every subcode built and compared
+    field = oracle_field(spec)
+    report = verify_distinctness(spec, field=field)
+    collisions = literal_collisions(field, spec)
+    assert report.ok == (not collisions)
+    assert report.total_tuples == grand_total(spec)
+    if spec.zeros == (1, 5):
+        assert collisions and not report.ok and report.distinct_codes is None
+
+
+@pytest.mark.parametrize("q, n, zeros", [(2, 6, [1, 3]), (3, 3, [1, 2, 4, 5])])
+def test_distinctness_needs_no_walk(q, n, zeros, monkeypatch):
+    # both specs are over the walk budget, which the rank does not meet
+    def unreachable(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(oracle, "enumerate_subspaces", unreachable)
+    monkeypatch.setattr(oracle, "build_subcode", unreachable)
+    spec = validate_spec(q, n, zeros)
+    report = verify_distinctness(spec)
+    assert report.ok and report.total_tuples == grand_total(spec)
+
+
+# measured_histogram is the one check that walks
+@pytest.mark.parametrize("walk", [measured_histogram])
 @pytest.mark.parametrize(
     "q, n, zeros, cap, tuples",
     # under the cap on q^n, over the walk budget; a raised cap does not help;
@@ -429,8 +470,9 @@ def test_walk_under_the_limit_is_admitted(q, n, zeros, tuples, monkeypatch):
     assert grand_total(spec) == tuples <= WALK_BUDGET // (1 if q == 2 else 8)
     # with no subspaces to yield, the admitted walk visits the zero tuple alone
     monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
-    report = verify_distinctness(spec)
-    assert (report.total_tuples, report.distinct_codes) == (1, 1)
+    tally = {}
+    oracle._walk(oracle_field(spec), spec, tally)
+    assert tally == {1: 1}
 
 
 @pytest.mark.parametrize("q, n, tuples", [(2, 4, WALK_BUDGET), (3, 2, WALK_BUDGET // 8)])
@@ -438,38 +480,45 @@ def test_walk_at_the_budget_is_admitted_and_one_tuple_more_refused(q, n, tuples,
     # one zero, so a walk has subspace_total + 1 tuples, costing exactly
     # WALK_BUDGET lane bits at 1 bit a tuple over F_2 and 8 over odd q
     spec = validate_spec(q, n, [1])
+    field = oracle_field(spec)
     monkeypatch.setattr(oracle, "enumerate_subspaces", lambda field: iter(()))
     monkeypatch.setattr(oracle, "subspace_total", lambda n, q: tuples - 1)
-    assert verify_distinctness(spec).total_tuples == 1
+    tally = {}
+    oracle._walk(field, spec, tally)
+    assert tally == {1: 1}
     monkeypatch.setattr(oracle, "subspace_total", lambda n, q: tuples)
     with pytest.raises(CapExceededError, match=f"{tuples + 1} subspace tuples"):
-        verify_distinctness(spec)
+        oracle._walk(field, spec, {})
 
 
 def test_trace_nondegeneracy_exhaustive():
     spec = validate_spec(2, 4, [1, 3])
     report = verify_trace_nondegeneracy(spec)
-    assert report.exhaustive
     assert report.checked == 256
     assert report.annihilators == 1  # the zero tuple only
     assert report.ok
 
 
 def test_trace_nondegeneracy_sampled_path():
-    spec = validate_spec(2, 6, [1, 3, 5])  # 64^3 coefficient tuples
+    # 64^3 coefficient tuples, which the check once sampled, all counted
+    spec = validate_spec(2, 6, [1, 3, 5])
     report = verify_trace_nondegeneracy(spec)
-    assert not report.exhaustive
-    assert report.checked == 200
-    assert report.annihilators == 0
+    assert report.checked == 64**3
+    assert report.annihilators == 1
     assert report.ok
 
 
 def test_short_coset_exponent_has_extra_annihilators():
-    # exponent 5 has a coset of size 2 mod 15: the form x -> Tr(b x^5) is
-    # degenerate, which is exactly why such zeros are rejected upstream
-    field = build_field(2, 4)
-    assert len(trace_annihilators(field, [5])) == 4
-    assert len(trace_annihilators(field, [1])) == 1
+    # exponent 5 mod 15, 9 mod 63 and 10 mod 80 have cosets shorter than n:
+    # each form x -> Tr(b x^i) is degenerate, which is exactly why such zeros
+    # are rejected upstream; the rank counts the annihilators of those
+    # unvalidated specs as the exhaustive reference does
+    for q, n, zeros, annihilators in [(2, 4, (1, 5), 4), (2, 6, (1, 9), 8), (3, 4, (1, 10), 9)]:
+        field = build_field(q, n)
+        assert len(trace_annihilators(field, zeros)) == annihilators
+        assert len(trace_annihilators(field, zeros[:1])) == 1
+        report = verify_trace_nondegeneracy(CodeSpec(q, n, zeros, q**n - 1), field=field)
+        assert report == (field.size**2, annihilators) and not report.ok
 
 
 def test_shift_lemma_exhaustive_and_sampled():
@@ -477,9 +526,34 @@ def test_shift_lemma_exhaustive_and_sampled():
     assert report.checked == 256 and report.ok
     report = verify_shift_lemma(validate_spec(3, 2, [1, 2]))
     assert report.checked == 81 and report.ok
+    # 64^3 coefficient tuples, which the check once sampled, all counted;
+    # samples is accepted and ignored
     spec = validate_spec(2, 6, [1, 3, 5])
-    report = verify_shift_lemma(spec, samples=50)
-    assert report.checked == 50 and report.ok
+    report = verify_shift_lemma(spec)
+    assert report.checked == 64**3 and report.ok
+    assert verify_shift_lemma(spec, samples=50) == report
+
+
+@pytest.mark.parametrize(
+    "q, n, zeros",
+    # bit lanes, and byte lanes at both ends of the lane arithmetic
+    [(2, 4, [1, 3]), (3, 2, [1, 2]), (5, 2, [1, 2]), (17, 2, [1])],
+)
+def test_shift_lemma_counts_a_mutant_shift(q, n, zeros, monkeypatch):
+    # with a shift by two places in place of one, the report counts the
+    # tuples whose words disagree, as a brute force over every tuple does
+    spec = validate_spec(q, n, zeros)
+    field = oracle_field(spec, cap=300)  # admits 17^2
+    shift = oracle._shift
+    monkeypatch.setattr(oracle, "_shift", lambda p, N, row, ell: shift(p, N, row, 2 * ell))
+    scale = [field.pow(field.alpha, -i) for i in spec.zeros]
+    mismatches = 0
+    for coeffs in product(range(field.size), repeat=spec.s):
+        word = code_word(field, spec.zeros, coeffs)
+        scaled = [field.mul(b, c) for b, c in zip(coeffs, scale)]
+        mismatches += word[-2:] + word[:-2] != code_word(field, spec.zeros, scaled)
+    report = verify_shift_lemma(spec, cap=300, field=field)
+    assert report == (field.size**spec.s, mismatches) and not report.ok
 
 
 def test_alpha_independence_of_measured_histogram():
@@ -504,13 +578,13 @@ def test_checks_do_not_depend_on_the_modulus(q, n, zeros):
     # the field modulo the smallest irreducible polynomial, whose t is not
     # primitive here, against the canonical one modulo the smallest primitive
     # polynomial; the walk of (2, 8, [1]) takes seconds, so there only the
-    # nondegeneracy and shift-lemma reports are compared
+    # reports read from ranks are compared
     spec = validate_spec(q, n, zeros)
     other = smallest_irreducible_field(q, n)
     assert other.modulus != oracle_field(spec).modulus
-    checks = [verify_trace_nondegeneracy, verify_shift_lemma]
+    checks = [verify_distinctness, verify_trace_nondegeneracy, verify_shift_lemma]
     if (q, n) != (2, 8):
-        checks.append(walk_subcodes)
+        checks.append(measured_histogram)
     for check in checks:
         assert check(spec, field=other) == check(spec), check.__name__
 
@@ -535,7 +609,6 @@ def test_cap_enforcement():
 FIELD_CHECKS = [
     measured_histogram,
     verify_distinctness,
-    walk_subcodes,
     verify_trace_nondegeneracy,
     verify_shift_lemma,
 ]

@@ -30,7 +30,7 @@ def _records() -> list:
         DiscrepancyRow(1, 2, 3),
         cross_check(table),
         DistinctnessReport(3, 3),
-        NondegeneracyReport(16, 1, True),
+        NondegeneracyReport(16, 1),
         ShiftLemmaReport(16, 0),
     ]
 
@@ -41,12 +41,6 @@ def test_fields_cannot_be_assigned(record):
         setattr(record, record._fields[0], None)
     with pytest.raises(AttributeError):
         record.not_a_field = None
-
-
-def test_distinctness_collisions_default_to_empty():
-    report = DistinctnessReport(3, 3)
-    assert report.collisions == ()
-    assert report.ok
 
 
 def test_index_set_sequence_protocol_is_over_values():
